@@ -11,11 +11,9 @@ __version__ = "0.1.0"
 from .series import (
     MAX_ORDER,
     PowerSeries,
-    SpaceParam,
     extract_coefficients,
     series_mul,
     series_pow,
-    weighted_norm,
 )
 from .symbols import (
     BlaschkeSquare,
@@ -35,27 +33,21 @@ from .symbols import (
     boundary_eval,
     lens_semigroup_check,
     shipped_symbols,
-    symbol_from_dict,
-    symbol_to_dict,
 )
 from .carleson import (
     CarlesonOrderFit,
     CarlesonProfile,
     carleson_order_fit,
     rho_profile,
-    window_measure,
-    write_profile_csv,
 )
 from .operators import (
     OperatorMatrix,
     SizeGuardError,
-    build_diagonal_polydisk_matrix,
     build_matrix,
     hs_norm_sq,
     kernel_ratio,
-    load_matrix,
     multi_index_oracle,
-    save_matrix,
+    multiplicity_weights,
     unboundedness_witness,
 )
 from .spectra import (
@@ -66,7 +58,7 @@ from .spectra import (
     beta_estimate,
     decay_fit,
     find_M,
-    lower_bound_sanity,
+    linear_fit,
     nu_count,
     schatten_membership,
     singular_values,

@@ -10,13 +10,12 @@ deterministic Riemann sum.
 
 from __future__ import annotations
 
-import csv
-import json
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from .spectra import linear_fit
 from .symbols import DEFAULT_BOUNDARY_RADIUS, Symbol, boundary_eval
 
 __all__ = [
@@ -24,10 +23,8 @@ __all__ = [
     "default_h_grid",
     "CarlesonProfile",
     "CarlesonOrderFit",
-    "window_measure",
     "rho_profile",
     "carleson_order_fit",
-    "write_profile_csv",
 ]
 
 DEFAULT_SAMPLES = 1 << 20
@@ -88,22 +85,6 @@ class CarlesonProfile:
 def _boundary_values(spec: Symbol, samples: int, r_b: float) -> np.ndarray:
     t = 2.0 * np.pi * np.arange(samples) / samples
     return np.asarray(boundary_eval(spec, t, r_b))
-
-
-def window_measure(
-    spec: Symbol,
-    xi: complex,
-    h: float,
-    samples: int = DEFAULT_SAMPLES,
-    r_b: float = DEFAULT_BOUNDARY_RADIUS,
-) -> float:
-    """Mass of the window S(xi, h) under Q equispaced boundary samples."""
-    if abs(abs(xi) - 1.0) > 1e-9:
-        raise ValueError("window center must be unimodular")
-    if not 0.0 < h < 2.0:
-        raise ValueError(f"window size must lie in (0, 2), got {h}")
-    w = _boundary_values(spec, samples, r_b)
-    return float(np.count_nonzero(np.abs(w - xi) <= h)) / samples
 
 
 def _max_window_mass(w: np.ndarray, h: float, centers: int) -> int:
@@ -206,30 +187,5 @@ def carleson_order_fit(profile: CarlesonProfile) -> CarlesonOrderFit:
     n = int(np.count_nonzero(mask))
     if n < 4:
         return CarlesonOrderFit(alpha=None, r_squared=None, points_used=n, degenerate=True)
-    x = np.log(profile.h_grid[mask])
-    y = np.log(profile.rho_hat[mask])
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid**2)) / ss_tot
-    return CarlesonOrderFit(alpha=float(slope), r_squared=r2, points_used=n, degenerate=False)
-
-
-def write_profile_csv(profile: CarlesonProfile, path, meta: dict | None = None) -> None:
-    """CSV with columns h, rho_hat, level_hat, Q, xi_grid_size, r_b."""
-    with open(path, "w", newline="") as fh:
-        if meta is not None:
-            fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["h", "rho_hat", "level_hat", "Q", "xi_grid_size", "r_b"])
-        for h, rho, lev in zip(profile.h_grid, profile.rho_hat, profile.level_hat):
-            writer.writerow(
-                [
-                    repr(float(h)),
-                    repr(float(rho)),
-                    repr(float(lev)),
-                    profile.samples,
-                    profile.xi_grid_size,
-                    repr(float(profile.r_b)),
-                ]
-            )
+    slope, _, r2 = linear_fit(np.log(profile.h_grid[mask]), np.log(profile.rho_hat[mask]))
+    return CarlesonOrderFit(alpha=slope, r_squared=r2, points_used=n, degenerate=False)

@@ -46,7 +46,6 @@ def main(argv=None) -> int:
         n_dim=args.n_dim,
         samples=args.samples,
         theta=args.theta,
-        json_summary=args.json,
     )
     try:
         manifest = run(config)

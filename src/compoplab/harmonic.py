@@ -12,7 +12,7 @@ e^{-f} without constructing the conformal map f.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -123,11 +123,8 @@ class GraphChannel:
     alpha: float = DEFAULT_ALPHA
     base_point: complex = DEFAULT_BASE
     far_x: float = 1e4
-    skip_checks: bool = False
 
     def __post_init__(self):
-        if self.skip_checks:
-            return
         grid = np.geomspace(1e-4, 1e6, 64)
         vals = np.asarray(self.g(grid), dtype=float)
         if np.any(np.diff(vals) >= 0):
@@ -215,6 +212,8 @@ def wos_harmonic_measures(
         raise ValueError("eps_absorb must be positive")
     if samples < 1:
         raise ValueError("need at least one trajectory")
+    if step_cap < 1:
+        raise ValueError(f"step_cap must be >= 1, got {step_cap}")
     pos = np.full(samples, complex(region.base_point), dtype=complex)
     alive = np.ones(samples, dtype=bool)
     scores = np.zeros(len(targets))
@@ -253,10 +252,14 @@ def wos_harmonic_measures(
         iteration += 1
 
     completed = samples - n_capped
+    if completed == 0:
+        raise RuntimeError(
+            f"all {n_capped} walks hit step_cap={step_cap} before absorption; no estimate"
+        )
     out = []
     for i in range(len(targets)):
-        prob = scores[i] / completed if completed else math.nan
-        ci = 1.96 * math.sqrt(max(prob * (1.0 - prob), 0.0) / completed) if completed else math.nan
+        prob = scores[i] / completed
+        ci = 1.96 * math.sqrt(max(prob * (1.0 - prob), 0.0) / completed)
         out.append(
             HarmonicMeasureEstimate(
                 probability=min(max(prob, 0.0), 1.0),

@@ -1,11 +1,9 @@
 """Matrices of composition operators in orthonormal monomial bases.
 
-Column k of the matrix of C_phi is the coefficient vector of phi^k.  For a
-weighted-Bergman domain the orthonormal basis is (k+1)^((gamma+1)/2) z^k,
-which puts the scalar (k+1)^((gamma+1)/2) on column k.  The diagonal
-polydisk map Phi(z) = (phi(z_1), ..., phi(z_1)) on H^2(D^N) reduces
-exactly to a one-variable matrix with multiplicity weights
-sqrt(C(k+N-1, N-1)); see `build_diagonal_polydisk_matrix`.
+Column k of the matrix of C_phi is the coefficient vector of phi^k.  The
+diagonal polydisk map Phi(z) = (phi(z_1), ..., phi(z_1)) on H^2(D^N)
+reduces exactly to a one-variable matrix whose column k carries the
+multiplicity weight sqrt(C(k+N-1, N-1)); see `build_matrix`.
 
 Sections are lower bounds of the approximation numbers that converge
 slowly for boundary-touching symbols; `kernel_lower_bound` gives lower
@@ -15,14 +13,13 @@ bounds from reproducing kernels instead, which reach the contact points.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
 
-from .series import MAX_ORDER, SpaceParam, default_radius, default_sample_count
+from .series import MAX_ORDER, default_radius, default_sample_count
 from .symbols import KernelPoint, PolydiskMap, SingularEvaluationError, Symbol
 
 __all__ = [
@@ -31,14 +28,12 @@ __all__ = [
     "HsReport",
     "WitnessNorms",
     "build_matrix",
-    "build_diagonal_polydisk_matrix",
+    "multiplicity_weights",
     "multi_index_oracle",
     "hs_norm_sq",
     "kernel_ratio",
     "kernel_lower_bound",
     "unboundedness_witness",
-    "save_matrix",
-    "load_matrix",
 ]
 
 ORACLE_SIZE_CAP = 3000
@@ -50,17 +45,9 @@ class SizeGuardError(ValueError):
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Finite section of a composition operator in orthonormal bases.
-
-    column_weights records the scalar applied to column k (Bergman and/or
-    multiplicity factors); entries[:, k] equals weight_k times the
-    coefficients of phi^k.
-    """
+    """Finite section of a composition operator in orthonormal bases."""
 
     entries: np.ndarray
-    domain: SpaceParam
-    codomain: SpaceParam
-    column_weights: np.ndarray
     symbol: object
     truncation: int
 
@@ -71,9 +58,6 @@ class OperatorMatrix:
         if not np.all(np.isfinite(m)):
             raise ValueError("matrix entries must be finite")
         object.__setattr__(self, "entries", m)
-        object.__setattr__(
-            self, "column_weights", np.asarray(self.column_weights, dtype=float)
-        )
 
     @property
     def shape(self):
@@ -105,84 +89,40 @@ def _grid_power_columns(spec: Symbol, truncation: int):
         yield k, np.fft.fft(running)[:truncation] * unscale
 
 
-def build_matrix(
-    spec: Symbol, truncation: int, domain: SpaceParam = SpaceParam.hardy()
-) -> OperatorMatrix:
-    """K x K matrix of C_phi from the domain space into H^2(D).
+def multiplicity_weights(truncation: int, dimension: int) -> np.ndarray:
+    """sqrt(C(k+N-1, N-1)) for k < K in log space; safe up to K=4096, N large.
 
-    Column k is the coefficient vector of phi^k scaled by
-    (k+1)^((gamma+1)/2); for the Hardy domain (gamma = -1) the scaling is 1.
+    Exactly 1.0 at N = 1.
     """
-    if not 1 <= truncation <= MAX_ORDER:
-        raise ValueError(f"truncation must lie in [1, {MAX_ORDER}]")
-    weights = (np.arange(truncation) + 1.0) ** ((domain.gamma + 1.0) / 2.0)
-    entries = np.empty((truncation, truncation), dtype=complex)
-    for k, col in _grid_power_columns(spec, truncation):
-        entries[:, k] = col * weights[k]
-    return OperatorMatrix(
-        entries,
-        domain=domain,
-        codomain=SpaceParam.hardy(),
-        column_weights=weights,
-        symbol=spec,
-        truncation=truncation,
-    )
-
-
-def _multiplicity_weights(truncation: int, dimension: int) -> np.ndarray:
-    """sqrt(C(k+N-1, N-1)) in log space; safe up to K=4096, N large."""
+    if dimension < 1:
+        raise ValueError("dimension must be >= 1")
     k = np.arange(truncation, dtype=float)
     n = float(dimension)
     return np.exp(0.5 * (gammaln(k + n) - gammaln(k + 1.0) - gammaln(n)))
 
 
-def build_diagonal_polydisk_matrix(
-    spec: Symbol, dimension: int, truncation: int
-) -> OperatorMatrix:
-    """Exact one-variable reduction of C_Phi for Phi = (phi(z_1), ..., phi(z_1)).
+def build_matrix(spec: Symbol, truncation: int, dimension: int = 1) -> OperatorMatrix:
+    """K x K matrix of C_Phi for Phi = (phi(z_1), ..., phi(z_1)) on H^2(D^N).
 
+    Column k is sqrt(C(k+N-1, N-1)) times the coefficients of phi^k; at
+    N = 1 the weights are exactly 1, which is the matrix of C_phi on H^2(D).
     With J h (z) = h(z_1) and (M f)(z) = f(z, ..., z) one has
     C_Phi = J C_phi M.  J is an isometry, and on the monomial basis of
     H^2(D^N) the operator M M* is diagonal with eigenvalue C(n+N-1, N-1)
     (the number of monomials of total degree n), so the singular values of
-    C_Phi coincide with those of C_phi (M M*)^(1/2), whose matrix has
-    column k equal to sqrt(C(k+N-1, N-1)) times the coefficients of phi^k.
-    Finite sections increase monotonically to the approximation numbers.
+    C_Phi coincide with those of C_phi (M M*)^(1/2).  Finite sections
+    increase monotonically to the approximation numbers.  Scaling the
+    entries of the N = 1 matrix by `multiplicity_weights(K, N)` gives the
+    same matrix bit for bit, without extracting the columns again.
     """
-    if dimension < 1:
-        raise ValueError("dimension must be >= 1")
     if not 1 <= truncation <= MAX_ORDER:
         raise ValueError(f"truncation must lie in [1, {MAX_ORDER}]")
-    weights = _multiplicity_weights(truncation, dimension)
+    weights = multiplicity_weights(truncation, dimension)
     entries = np.empty((truncation, truncation), dtype=complex)
     for k, col in _grid_power_columns(spec, truncation):
         entries[:, k] = col * weights[k]
-    return OperatorMatrix(
-        entries,
-        domain=SpaceParam.hardy(),
-        codomain=SpaceParam.hardy(),
-        column_weights=weights,
-        symbol=PolydiskMap.diagonal(spec, dimension),
-        truncation=truncation,
-    )
-
-
-def reweight_diagonal_matrix(matrix: OperatorMatrix, dimension: int) -> OperatorMatrix:
-    """Reuse the coefficient columns of a Hardy matrix under new multiplicity
-    weights; avoids re-extracting phi^k when sweeping N."""
-    base = matrix.entries / matrix.column_weights[np.newaxis, :]
-    weights = _multiplicity_weights(matrix.truncation, dimension)
-    sym = matrix.symbol
-    if isinstance(sym, PolydiskMap):
-        sym = sym.coords[0][1]
-    return OperatorMatrix(
-        base * weights[np.newaxis, :],
-        domain=SpaceParam.hardy(),
-        codomain=SpaceParam.hardy(),
-        column_weights=weights,
-        symbol=PolydiskMap.diagonal(sym, dimension),
-        truncation=matrix.truncation,
-    )
+    symbol = spec if dimension == 1 else PolydiskMap.diagonal(spec, dimension)
+    return OperatorMatrix(entries, symbol=symbol, truncation=truncation)
 
 
 def multi_indices(dimension: int, degree_cap: int):
@@ -242,14 +182,7 @@ def multi_index_oracle(poly: PolydiskMap, degree_cap: int) -> OperatorMatrix:
                 factor[0] = 1.0
             column = column * factor[beta_mat[:, src - 1]]
         entries[:, col] = column
-    return OperatorMatrix(
-        entries,
-        domain=SpaceParam.hardy(),
-        codomain=SpaceParam.hardy(),
-        column_weights=np.ones(side),
-        symbol=poly,
-        truncation=degree_cap,
-    )
+    return OperatorMatrix(entries, symbol=poly, truncation=degree_cap)
 
 
 @dataclass(frozen=True)
@@ -433,49 +366,3 @@ def unboundedness_witness(n: int) -> WitnessNorms:
         raise ValueError("witness degree capped at 1e6")
     log_norm_sq = math.lgamma(2 * n + 1) - 2 * math.lgamma(n + 1) - n * math.log(4.0)
     return WitnessNorms(norm_f=math.exp(0.5 * log_norm_sq), norm_cf=1.0)
-
-
-def save_matrix(matrix: OperatorMatrix, path) -> None:
-    """Binary column-major payload preceded by one JSON header line."""
-    from .symbols import polydisk_map_to_dict, symbol_to_dict
-
-    sym = matrix.symbol
-    if isinstance(sym, PolydiskMap):
-        sym_doc = {"polydisk": polydisk_map_to_dict(sym)}
-    else:
-        sym_doc = {"symbol": symbol_to_dict(sym)}
-    header = {
-        "truncation": matrix.truncation,
-        "shape": list(matrix.shape),
-        "domain_gamma": matrix.domain.gamma,
-        "codomain_gamma": matrix.codomain.gamma,
-        "column_weights": [float(w) for w in matrix.column_weights],
-        "dtype": "complex128",
-        "order": "F",
-        **sym_doc,
-    }
-    with open(path, "wb") as fh:
-        fh.write((json.dumps(header, sort_keys=True) + "\n").encode())
-        fh.write(np.asfortranarray(matrix.entries).tobytes(order="F"))
-
-
-def load_matrix(path) -> OperatorMatrix:
-    from .symbols import polydisk_map_from_dict, symbol_from_dict
-
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
-        rows, cols = header["shape"]
-        data = np.frombuffer(fh.read(), dtype=np.complex128)
-    entries = data.reshape((rows, cols), order="F")
-    if "polydisk" in header:
-        sym = polydisk_map_from_dict(header["polydisk"])
-    else:
-        sym = symbol_from_dict(header["symbol"])
-    return OperatorMatrix(
-        entries,
-        domain=SpaceParam(header["domain_gamma"]),
-        codomain=SpaceParam(header["codomain_gamma"]),
-        column_weights=np.asarray(header["column_weights"]),
-        symbol=sym,
-        truncation=int(header["truncation"]),
-    )

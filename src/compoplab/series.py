@@ -1,12 +1,8 @@
 """Truncated power series on the unit disk.
 
 Coefficients are recovered from evaluable analytic functions by a discrete
-Cauchy integral on an interior circle, powers are formed by pointwise
-powering on the sampling grid (one transform per power), and norms are the
-coefficient norms of the Hardy space (gamma = -1) or of the weighted
-Bergman scale
-
-    ||f||_gamma^2 = sum_n |a_n|^2 / (n+1)^(gamma+1).
+Cauchy integral on an interior circle, and powers are formed by
+pointwise powering on the sampling grid (one transform per power).
 """
 
 from __future__ import annotations
@@ -20,13 +16,11 @@ import numpy as np
 __all__ = [
     "MAX_ORDER",
     "PowerSeries",
-    "SpaceParam",
     "default_radius",
     "default_sample_count",
     "extract_coefficients",
     "series_mul",
     "series_pow",
-    "weighted_norm",
 ]
 
 # Dense-coefficient envelope; operator matrices stay <= MAX_ORDER^2.
@@ -78,31 +72,6 @@ class PowerSeries:
         return PowerSeries(self.coeffs[: order + 1].copy(), self.alias_error)
 
 
-@dataclass(frozen=True)
-class SpaceParam:
-    """Weight gamma of the coefficient space; gamma = -1 is the Hardy space H^2."""
-
-    gamma: float = -1.0
-
-    def __post_init__(self):
-        if not (np.isfinite(self.gamma) and self.gamma >= -1.0):
-            raise ValueError(f"gamma must be >= -1, got {self.gamma}")
-
-    @property
-    def is_hardy(self) -> bool:
-        return self.gamma == -1.0
-
-    @classmethod
-    def hardy(cls) -> "SpaceParam":
-        return cls(-1.0)
-
-    @classmethod
-    def bergman(cls, gamma: float) -> "SpaceParam":
-        if gamma <= -1.0:
-            raise ValueError("weighted Bergman scale needs gamma > -1")
-        return cls(gamma)
-
-
 def _circle_nodes(radius: float, samples: int) -> np.ndarray:
     return radius * np.exp(2j * np.pi * np.arange(samples) / samples)
 
@@ -115,7 +84,8 @@ def extract_coefficients(
 ) -> PowerSeries:
     """Discrete Cauchy integral: c_k ~ (1/(M r^k)) sum_m f(r w^m) w^{-km}.
 
-    The alias bound r^M/(1-r^M) assumes sup_D |f| <= 1.  Deterministic.
+    The alias bound r^M/(1-r^M) assumes sup_D |f| <= 1; two lower bounds of
+    sup_D |f| are checked against 1.  Deterministic.
     """
     if order < 0 or order > MAX_ORDER:
         raise ValueError(f"order must be in [0, {MAX_ORDER}], got {order}")
@@ -135,6 +105,14 @@ def extract_coefficients(
             "the function was evaluated at or near a singularity"
         )
     hats = np.fft.fft(values)[: order + 1] / (m * r ** np.arange(order + 1))
+    # max |f| on the circle and the l2 norm of the coefficients (the H^2
+    # norm, up to alias and rounding) both bound sup_D |f| from below
+    top = max(float(np.max(np.abs(values))), float(np.linalg.norm(hats)))
+    if top > 1.0 + 1e-9:
+        raise ArithmeticError(
+            f"sup |f| >= {top:.6g} > 1 (sampling circle and coefficient norm); "
+            "the alias bound needs sup |f| <= 1"
+        )
     rm = r**m
     return PowerSeries(hats, alias_error=rm / (1.0 - rm))
 
@@ -192,10 +170,3 @@ def series_pow(p: PowerSeries, k: int, order: int | None = None) -> PowerSeries:
     alias = math.exp(log_alias)
     inherited = k * max(amp, 1.0) ** (k - 1) * p.alias_error if p.alias_error else 0.0
     return PowerSeries(hats, alias_error=alias + inherited)
-
-
-def weighted_norm(p: PowerSeries, space: SpaceParam = SpaceParam.hardy()) -> float:
-    """sqrt(sum_k |c_k|^2/(k+1)^(gamma+1)); the plain l2 norm when gamma = -1."""
-    k = np.arange(p.coeffs.size, dtype=float)
-    w = (k + 1.0) ** (-(space.gamma + 1.0))
-    return float(np.sqrt(np.sum(np.abs(p.coeffs) ** 2 * w)))

@@ -23,10 +23,7 @@ __all__ = [
     "DecayFit",
     "BetaEstimate",
     "TensorLemmaReport",
-    "SanityReport",
     "SvdError",
-    "write_spectrum_csv",
-    "fit_to_dict",
     "singular_values",
     "tensor_merge",
     "nu_count",
@@ -39,7 +36,7 @@ __all__ = [
     "upper_bound_weighted",
     "beta_estimate",
     "decay_fit",
-    "lower_bound_sanity",
+    "linear_fit",
     "schatten_membership",
     "classify_series_convergence",
 ]
@@ -47,31 +44,6 @@ __all__ = [
 
 class SvdError(RuntimeError):
     """SVD failed to converge; carries size/scale diagnostics."""
-
-
-def write_spectrum_csv(spectrum, path, meta: dict | None = None) -> None:
-    """CSV with columns n, s_n (one '#'-prefixed JSON header line)."""
-    import csv
-    import json
-
-    values = _as_array(spectrum)
-    with open(path, "w", newline="") as fh:
-        if meta is not None:
-            fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n", "s_n"])
-        for i, v in enumerate(values, start=1):
-            writer.writerow([i, repr(float(v))])
-
-
-def fit_to_dict(fit) -> dict:
-    """JSON-ready record of a decay fit: model, params, r_squared, range."""
-    return {
-        "model": fit.model,
-        "params": {k: float(v) for k, v in fit.params.items()},
-        "r_squared": float(fit.r_squared),
-        "fit_range": [int(fit.fit_range[0]), int(fit.fit_range[1])],
-    }
 
 
 @dataclass(frozen=True)
@@ -457,7 +429,13 @@ class DecayFit:
     fit_range: tuple
 
 
-def _linfit(x: np.ndarray, y: np.ndarray):
+def linear_fit(x, y) -> tuple[float, float, float]:
+    """Least-squares line y ~ slope * x + intercept: (slope, intercept, R^2).
+
+    R^2 is 1 when y is constant (nothing left to explain).
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
@@ -466,7 +444,7 @@ def _linfit(x: np.ndarray, y: np.ndarray):
 
 
 def _stretched_r2(n: np.ndarray, logs: np.ndarray, alpha: float):
-    return _linfit(n**alpha, logs)
+    return linear_fit(n**alpha, logs)
 
 
 def decay_fit(spectrum, model: str, fit_range: tuple) -> DecayFit:
@@ -491,10 +469,10 @@ def decay_fit(spectrum, model: str, fit_range: tuple) -> DecayFit:
     logs = np.log(vals)
 
     if model == "poly":
-        slope, intercept, r2 = _linfit(np.log(n), logs)
+        slope, intercept, r2 = linear_fit(np.log(n), logs)
         return DecayFit(model, {"log_amplitude": intercept, "power": -slope}, r2, (lo, hi))
     if model == "exp_linear":
-        slope, intercept, r2 = _linfit(n, logs)
+        slope, intercept, r2 = linear_fit(n, logs)
         return DecayFit(model, {"log_amplitude": intercept, "rate": -slope}, r2, (lo, hi))
     if model != "stretched_exp":
         raise ValueError(f"unknown decay model {model!r}")
@@ -530,48 +508,6 @@ def decay_fit(spectrum, model: str, fit_range: tuple) -> DecayFit:
     )
 
 
-@dataclass(frozen=True)
-class SanityReport:
-    """Shape check against the universal geometric lower bound.
-
-    Finite sections underestimate a_n, so violations are warnings about
-    the section, never refutations.
-    """
-
-    min_log_slope: float
-    bounded: bool
-    tail_medians: np.ndarray
-    trend_toward_zero: bool | None
-    notes: tuple
-
-
-def lower_bound_sanity(spectrum, full_norm: bool = False) -> SanityReport:
-    values = _as_array(spectrum)
-    if np.any(values <= 0.0):
-        raise ValueError("sanity check needs strictly positive values")
-    n = np.arange(1, values.size + 1, dtype=float)
-    slopes = np.log(values) / n
-    medians = []
-    m = 4
-    while m <= values.size:
-        medians.append(float(np.median(slopes[m // 2 - 1 : m])))
-        m *= 2
-    medians = np.asarray(medians)
-    trend = None
-    notes = []
-    if full_norm:
-        trend = bool(np.all(np.diff(medians) >= -1e-12)) if medians.size >= 2 else True
-        if not trend:
-            notes.append("tail medians of (log s_n)/n are not non-decreasing on this section")
-    return SanityReport(
-        min_log_slope=float(slopes.min()),
-        bounded=bool(np.isfinite(slopes.min())),
-        tail_medians=medians,
-        trend_toward_zero=trend,
-        notes=tuple(notes),
-    )
-
-
 def classify_series_convergence(terms) -> str:
     """Dyadic-block ratio/slope test on sum_n terms[n].
 
@@ -597,7 +533,7 @@ def classify_series_convergence(terms) -> str:
     idx = np.arange(blocks.size - tail.size + 1, blocks.size + 1, dtype=float)
     if np.any(tail <= 0.0):
         return "summable" if tail[-1] == 0.0 else "inconclusive"
-    slope, _, _ = _linfit(np.log(idx), np.log(tail))
+    slope, _, _ = linear_fit(np.log(idx), np.log(tail))
     q = -slope
     if q >= 1.15:
         return "summable"

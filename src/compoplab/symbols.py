@@ -9,10 +9,9 @@ of radius 1 - 1e-8 with a cross-check radius of 1 - 1e-6.
 from __future__ import annotations
 
 import abc
-import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,10 +37,6 @@ __all__ = [
     "boundary_eval",
     "lens_semigroup_check",
     "blaschke_contraction_ratio",
-    "symbol_to_dict",
-    "symbol_from_dict",
-    "polydisk_map_to_dict",
-    "polydisk_map_from_dict",
     "shipped_symbols",
 ]
 
@@ -120,17 +115,11 @@ class Symbol(abc.ABC):
         """
         return 2.0 * np.arctanh(self.evaluate(np.tanh(np.asarray(alpha, dtype=complex) / 2.0)))
 
-    def to_dict(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Identity(Symbol):
     def _raw(self, z):
         return z
-
-    def to_dict(self):
-        return {"kind": "identity"}
 
 
 @dataclass(frozen=True)
@@ -146,9 +135,6 @@ class Scalar(Symbol):
     def _raw(self, z):
         return np.full_like(z, complex(self.c))
 
-    def to_dict(self):
-        return {"kind": "scalar", "re": self.c.real, "im": self.c.imag}
-
 
 @dataclass(frozen=True)
 class Rotation(Symbol):
@@ -156,9 +142,6 @@ class Rotation(Symbol):
 
     def _raw(self, z):
         return np.exp(1j * self.alpha) * z
-
-    def to_dict(self):
-        return {"kind": "rotation", "alpha": self.alpha}
 
 
 @dataclass(frozen=True)
@@ -200,9 +183,6 @@ class Lens(Symbol):
         """Exactly theta * alpha: ((1+z)/(1-z))^theta = e^(theta alpha)."""
         return self.theta * np.asarray(alpha, dtype=complex)
 
-    def to_dict(self):
-        return {"kind": "lens", "theta": self.theta}
-
 
 @dataclass(frozen=True)
 class Cusp(Symbol):
@@ -235,9 +215,6 @@ class Cusp(Symbol):
         arr = np.asarray(z, dtype=complex)
         return 2.0 * self.b / (self._w(arr) + self.b)
 
-    def to_dict(self):
-        return {"kind": "cusp", "b": self.b}
-
 
 @dataclass(frozen=True)
 class BlaschkeSquare(Symbol):
@@ -251,9 +228,6 @@ class BlaschkeSquare(Symbol):
 
     def _raw(self, z):
         return ((z - self.a) / (1.0 - self.a * z)) ** 2
-
-    def to_dict(self):
-        return {"kind": "blaschke_square", "a": self.a}
 
 
 def _half_disk_map(z: np.ndarray) -> np.ndarray:
@@ -316,9 +290,6 @@ class ShapiroTaylor(Symbol):
         gap = -np.expm1(-g * (-np.log(g)) ** self.theta)
         return np.log((2.0 - gap) / gap)
 
-    def to_dict(self):
-        return {"kind": "shapiro_taylor", "theta": self.theta, "eps": self.eps}
-
 
 @dataclass(frozen=True)
 class Compose(Symbol):
@@ -327,9 +298,6 @@ class Compose(Symbol):
 
     def _raw(self, z):
         return self.outer._raw(self.inner._raw(z))
-
-    def to_dict(self):
-        return {"kind": "compose", "outer": self.outer.to_dict(), "inner": self.inner.to_dict()}
 
 
 @dataclass(frozen=True)
@@ -340,66 +308,6 @@ class ExplicitSeries(Symbol):
 
     def _raw(self, z):
         return self.series(z)
-
-    def to_dict(self):
-        return {
-            "kind": "explicit",
-            "coeffs_re": [float(c.real) for c in self.series.coeffs],
-            "coeffs_im": [float(c.imag) for c in self.series.coeffs],
-            "alias_error": self.series.alias_error,
-        }
-
-
-_KINDS = {}
-
-
-def _register(kind, builder):
-    _KINDS[kind] = builder
-
-
-_register("identity", lambda d: Identity())
-_register("scalar", lambda d: Scalar(complex(d["re"], d["im"])))
-_register("rotation", lambda d: Rotation(float(d["alpha"])))
-_register("lens", lambda d: Lens(float(d["theta"])))
-_register("cusp", lambda d: Cusp(float(d["b"])))
-_register("blaschke_square", lambda d: BlaschkeSquare(float(d["a"])))
-_register(
-    "shapiro_taylor",
-    lambda d: ShapiroTaylor(float(d["theta"]), float(d["eps"])),
-)
-_register(
-    "compose",
-    lambda d: Compose(symbol_from_dict(d["outer"]), symbol_from_dict(d["inner"])),
-)
-_register(
-    "explicit",
-    lambda d: ExplicitSeries(
-        PowerSeries(
-            np.asarray(d["coeffs_re"], dtype=float) + 1j * np.asarray(d["coeffs_im"], dtype=float),
-            alias_error=float(d.get("alias_error", 0.0)),
-        )
-    ),
-)
-
-
-def symbol_to_dict(spec: Symbol) -> dict:
-    return spec.to_dict()
-
-
-def symbol_from_dict(d: dict) -> Symbol:
-    try:
-        builder = _KINDS[d["kind"]]
-    except KeyError as exc:
-        raise ValueError(f"unknown symbol kind {d.get('kind')!r}") from exc
-    return builder(d)
-
-
-def symbol_to_json(spec: Symbol) -> str:
-    return json.dumps(symbol_to_dict(spec), sort_keys=True)
-
-
-def symbol_from_json(text: str) -> Symbol:
-    return symbol_from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -445,20 +353,6 @@ class PolydiskMap:
         for j, (src, spec) in enumerate(self.coords):
             out[..., j] = spec.evaluate(z[..., src - 1])
         return out
-
-
-def polydisk_map_to_dict(poly: PolydiskMap) -> dict:
-    return {
-        "dimension": poly.dimension,
-        "coords": [{"source": src, "map": spec.to_dict()} for src, spec in poly.coords],
-    }
-
-
-def polydisk_map_from_dict(d: dict) -> PolydiskMap:
-    coords = tuple(
-        (int(entry["source"]), symbol_from_dict(entry["map"])) for entry in d["coords"]
-    )
-    return PolydiskMap(int(d["dimension"]), coords)
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,6 @@ import pytest
 import compoplab as C
 
 
-def fit_slope(x, y):
-    return float(np.polyfit(np.asarray(x, dtype=float), np.asarray(y, dtype=float), 1)[0])
-
-
 def strip_lattice(x_lo, x_hi, dx, rows):
     """Strip nodes x + iy, x in [x_lo, x_hi] with step dx, y in rows."""
     xs = np.arange(x_lo, x_hi + dx / 2, dx)

@@ -23,13 +23,12 @@ from compoplab.carleson import rho_profile
 from compoplab.experiments import ExperimentConfig, run
 from compoplab.harmonic import GraphChannel, covering_count, wos_harmonic_measures
 from compoplab.operators import (
-    build_diagonal_polydisk_matrix,
     build_matrix,
     hs_norm_sq,
     kernel_lower_bound,
     kernel_ratio,
     multi_index_oracle,
-    reweight_diagonal_matrix,
+    multiplicity_weights,
     unboundedness_witness,
 )
 from compoplab.series import PowerSeries
@@ -38,6 +37,7 @@ from compoplab.spectra import (
     extremal_pair_count,
     extremal_spectrum,
     find_M,
+    linear_fit,
     nu_count,
     nu_count_bruteforce,
     singular_values,
@@ -53,7 +53,7 @@ from compoplab.symbols import (
     ShapiroTaylor,
     shipped_symbols,
 )
-from conftest import fit_slope, strip_lattice
+from conftest import strip_lattice
 
 
 def _report(idx: int, name: str, ok: bool, detail: str = "") -> bool:
@@ -122,15 +122,15 @@ def test_criterion_01_lens_decay_law():
 
 def test_criterion_02_cusp_diagonal():
     start = time.perf_counter()
-    base = build_matrix(Cusp(), 1024)
+    base = build_matrix(Cusp(), 1024).entries
     ok = True
     details = []
     for dim in (2, 3):
-        spectrum = singular_values(reweight_diagonal_matrix(base, dim))
+        spectrum = singular_values(base * multiplicity_weights(1024, dim))
         fit = decay_fit(spectrum, "stretched_exp", (20, 300))
         n = np.arange(20, 301, dtype=float)
         logs = np.log(spectrum.values[19:300])
-        d_rate = -fit_slope(np.sqrt(n), logs)
+        d_rate = -linear_fit(np.sqrt(n), logs)[0]
         ok = ok and d_rate > 0.0 and fit.params["exponent"] >= 0.45
         details.append(
             f"N={dim}: d={d_rate:.2f}, alpha={fit.params['exponent']:.3f}"
@@ -156,7 +156,7 @@ def test_criterion_03_lens_trichotomy():
                     for j in js
                 ]
             )
-            slope = fit_slope(u[window], np.log(ratios[window]))
+            slope = linear_fit(u[window], np.log(ratios[window]))[0]
             if regime == "super":
                 target = (dim * theta - 1.0) / 2.0
                 good = abs(slope - target) <= 0.05
@@ -244,7 +244,7 @@ def test_criterion_06_diagonal_polydisk_exactness():
     for spec in (half, Lens(0.25)):
         for dim in (2, 3):
             oracle = singular_values(multi_index_oracle(PolydiskMap.diagonal(spec, dim), 8))
-            direct = singular_values(build_diagonal_polydisk_matrix(spec, dim, 9))
+            direct = singular_values(build_matrix(spec, 9, dim))
             worst = max(worst, float(np.max(np.abs(oracle.values[:9] - direct.values))))
             worst = max(worst, float(np.max(oracle.values[9:], initial=0.0)))
     ok = worst < 1e-8
@@ -259,7 +259,7 @@ def test_criterion_07_spiral_harmonic_tail(spiral_ensemble):
     slope_ok = False
     slope = float("nan")
     if int(np.count_nonzero(positive)) >= 2:
-        slope = fit_slope(np.asarray(ys)[positive], np.log(probs[positive]))
+        slope = linear_fit(np.asarray(ys)[positive], np.log(probs[positive]))[0]
         slope_ok = slope <= -0.9
     disk = C.wos_harmonic_measure(
         C.DiskRegion(), lambda p: np.abs(np.angle(p)) <= math.pi / 2, samples=2 * 10**5, seed=41
@@ -314,7 +314,7 @@ def test_criterion_09_covering_two_valence():
 def test_criterion_10_unboundedness_witness():
     ns = np.unique(np.geomspace(10, 10**4, 30).astype(int))
     ratios = [unboundedness_witness(int(n)).ratio for n in ns]
-    slope = fit_slope(np.log(ns), np.log(ratios))
+    slope = linear_fit(np.log(ns), np.log(ratios))[0]
     ok = abs(slope - 0.25) <= 0.03
     detail = f"log-log slope {slope:.4f} over n in [10, 1e4] (exact binomials, log space)"
     assert _report(10, "diagonal witness ratio grows like n^(1/4)", ok, detail), detail

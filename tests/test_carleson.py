@@ -8,40 +8,18 @@ from compoplab.carleson import (
     carleson_order_fit,
     default_h_grid,
     rho_profile,
-    window_measure,
-    write_profile_csv,
 )
 from compoplab.series import PowerSeries
+from compoplab.spectra import linear_fit
 from compoplab.symbols import Cusp, ExplicitSeries, Identity, Lens, Rotation
-from conftest import fit_slope
 
 Q = 1 << 18
 
 
-def test_window_measure_rotation_matches_chord_oracle():
-    spec = Rotation(0.9)
-    for xi, h in ((1.0, 0.3), (np.exp(0.7j), 0.8), (-1.0, 0.1)):
-        measured = window_measure(spec, xi, h, samples=Q)
-        oracle = (2.0 / math.pi) * math.asin(h / 2.0)
-        assert abs(measured - oracle) <= 2.0 / Q + 1e-12
-
-
-def test_window_measure_small_range_symbol_is_empty():
-    spec = ExplicitSeries(PowerSeries([0, 0.5]))
-    assert window_measure(spec, 1.0, 0.3, samples=1 << 14) == 0.0
-
-
-def test_window_measure_validates_arguments():
-    with pytest.raises(ValueError):
-        window_measure(Identity(), 0.5, 0.3)
-    with pytest.raises(ValueError):
-        window_measure(Identity(), 1.0, 3.0)
-
-
 def test_cusp_windows_are_exponentially_small():
-    masses = {}
-    for h in (0.2, 0.1, 0.05):
-        masses[h] = window_measure(Cusp(), 1.0, h, samples=1 << 20)
+    # rho is the largest window mass over all centers, not only xi = 1
+    prof = rho_profile(Cusp(), h_grid=(0.2, 0.1, 0.05), samples=1 << 20)
+    masses = dict(zip(prof.h_grid, prof.rho_hat))
     positive = {h: m for h, m in masses.items() if m > 0}
     assert positive, "no mass resolved at all"
     c_hat = min(-h * math.log(m) for h, m in positive.items())
@@ -61,7 +39,7 @@ def test_identity_profile_matches_chord_oracle():
 
 def test_lens_level_sets_scale_quadratically():
     prof = rho_profile(Lens(0.5), h_grid=np.geomspace(0.25, 0.02, 8), samples=Q)
-    slope = fit_slope(np.log(prof.h_grid), np.log(prof.level_hat))
+    slope = linear_fit(np.log(prof.h_grid), np.log(prof.level_hat))[0]
     assert abs(slope - 2.0) <= 0.1
 
 
@@ -134,16 +112,6 @@ def test_order_fit_degenerate_profile():
 def test_coarse_center_grid_warns():
     with pytest.warns(UserWarning, match="underestimated"):
         rho_profile(Identity(), h_grid=np.array([0.01]), samples=1 << 12, xi_grid_size=16)
-
-
-def test_profile_csv_schema(tmp_path):
-    prof = rho_profile(Identity(), h_grid=np.array([0.5, 0.25]), samples=1 << 12)
-    path = tmp_path / "profile.csv"
-    write_profile_csv(prof, path, meta={"symbol": "identity"})
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("# {")
-    assert lines[1] == "h,rho_hat,level_hat,Q,xi_grid_size,r_b"
-    assert len(lines) == 4
 
 
 def test_profile_validation():

@@ -179,3 +179,18 @@ def test_estimate_validation():
         wos_harmonic_measure(DiskRegion(), lambda p: p.real > 0, samples=0)
     with pytest.raises(ValueError):
         wos_harmonic_measure(DiskRegion(), lambda p: p.real > 0, eps_absorb=0.0)
+
+
+def test_step_cap_below_one_is_rejected():
+    for cap in (0, -3):
+        with pytest.raises(ValueError, match="step_cap"):
+            wos_harmonic_measure(DiskRegion(), lambda p: p.real > 0, samples=100, step_cap=cap)
+
+
+def test_every_walk_capped_names_the_count():
+    # from the center of the unit disk no walk is absorbed in one step
+    with pytest.raises(RuntimeError, match="all 100 walks hit step_cap=1"):
+        wos_harmonic_measure(DiskRegion(), lambda p: p.real > 0, samples=100, step_cap=1)
+    # a cap that lets some walks finish still gives an estimate over them
+    est = wos_harmonic_measure(DiskRegion(), lambda p: p.real > 0, samples=100, step_cap=40)
+    assert est.samples + est.n_step_capped == 100 and est.samples > 0

@@ -6,18 +6,15 @@ import pytest
 import compoplab as C
 from compoplab.operators import (
     SizeGuardError,
-    build_diagonal_polydisk_matrix,
     build_matrix,
     hs_norm_sq,
     kernel_lower_bound,
     kernel_ratio,
-    load_matrix,
     multi_index_oracle,
-    reweight_diagonal_matrix,
-    save_matrix,
+    multiplicity_weights,
     unboundedness_witness,
 )
-from compoplab.series import PowerSeries, SpaceParam
+from compoplab.series import PowerSeries
 from compoplab.symbols import (
     Compose,
     Cusp,
@@ -27,11 +24,10 @@ from compoplab.symbols import (
     Lens,
     PolydiskMap,
     Rotation,
-    Scalar,
     ShapiroTaylor,
 )
-from compoplab.spectra import singular_values, tensor_merge
-from conftest import fit_slope, strip_lattice
+from compoplab.spectra import linear_fit, singular_values, tensor_merge
+from conftest import strip_lattice
 
 HALF = ExplicitSeries(PowerSeries([0, 0.5]))
 
@@ -54,21 +50,19 @@ def test_rotation_matrix_is_unitary_diagonal():
     assert np.max(np.abs(m.entries - expected)) < 1e-12
 
 
-def test_bergman_domain_column_scaling():
-    m = build_matrix(HALF, 8, domain=SpaceParam.bergman(0.0))
-    k = np.arange(8)
-    expected = np.diag(2.0**-k * np.sqrt(k + 1.0))
-    assert np.max(np.abs(m.entries - expected)) < 1e-12
-
-
 def test_diagonal_polydisk_dimension_one_is_plain_matrix():
+    for k in (1, 32, 1024, 4096):
+        assert np.all(multiplicity_weights(k, 1) == 1.0)
     a = build_matrix(Lens(0.25), 32)
-    b = build_diagonal_polydisk_matrix(Lens(0.25), 1, 32)
-    assert np.max(np.abs(a.entries - b.entries)) < 1e-14
+    b = build_matrix(Lens(0.25), 32, dimension=1)
+    assert np.array_equal(a.entries, b.entries)
+    assert isinstance(b.symbol, Lens)
+    with pytest.raises(ValueError):
+        build_matrix(Lens(0.25), 32, dimension=0)
 
 
 def test_diagonal_polydisk_half_map_closed_form():
-    m = build_diagonal_polydisk_matrix(HALF, 2, 16)
+    m = build_matrix(HALF, 16, 2)
     k = np.arange(16)
     expected = np.diag(2.0**-k * np.sqrt(k + 1.0))
     assert np.max(np.abs(m.entries - expected)) < 1e-12
@@ -87,7 +81,7 @@ def test_multi_index_oracle_identity_map():
 def test_oracle_matches_diagonal_reduction_half_map():
     poly = PolydiskMap.diagonal(HALF, 2)
     oracle = singular_values(multi_index_oracle(poly, 6))
-    direct = singular_values(build_diagonal_polydisk_matrix(HALF, 2, 7))
+    direct = singular_values(build_matrix(HALF, 7, 2))
     assert np.max(np.abs(oracle.values[:7] - direct.values)) < 1e-10
     assert np.max(oracle.values[7:]) < 1e-10
 
@@ -97,7 +91,7 @@ def test_oracle_matches_diagonal_reduction_half_map():
 def test_oracle_equivalence_across_symbols(spec, dim):
     poly = PolydiskMap.diagonal(spec, dim)
     oracle = singular_values(multi_index_oracle(poly, 6))
-    direct = singular_values(build_diagonal_polydisk_matrix(spec, dim, 7))
+    direct = singular_values(build_matrix(spec, 7, dim))
     assert np.max(np.abs(oracle.values[:7] - direct.values)) < 1e-8
     assert np.max(oracle.values[7:]) < 1e-8
 
@@ -110,7 +104,7 @@ def test_oracle_cross_validates_tensor_merge():
     lens = Lens(0.2)
     poly = PolydiskMap(3, ((1, lens), (1, lens), (3, HALF)))
     oracle = singular_values(multi_index_oracle(poly, 6))
-    factor_a = singular_values(build_diagonal_polydisk_matrix(lens, 2, 7))
+    factor_a = singular_values(build_matrix(lens, 7, 2))
     factor_b = singular_values(build_matrix(HALF, 7))
     merged = tensor_merge([factor_a, factor_b], len(oracle))
     k = min(len(merged), len(oracle))
@@ -171,7 +165,7 @@ def test_kernel_ratio_critical_band_and_supercritical_slope():
             [kernel_ratio(sup, KernelPoint((1 - 2.0**-j,) + (0,) * (dim - 1))) for j in js]
         )
         mask = js >= 10
-        slope = fit_slope(js[mask] * math.log(2.0), np.log(ratios[mask]))
+        slope = linear_fit(js[mask] * math.log(2.0), np.log(ratios[mask]))[0]
         assert abs(slope - 0.5) <= 0.05
 
 
@@ -229,7 +223,7 @@ def test_witness_exact_values():
 def test_witness_growth_exponent():
     ns = np.unique(np.geomspace(10, 10**4, 25).astype(int))
     ratios = [unboundedness_witness(int(n)).ratio for n in ns]
-    slope = fit_slope(np.log(ns), np.log(ratios))
+    slope = linear_fit(np.log(ns), np.log(ratios))[0]
     assert abs(slope - 0.25) <= 0.03
 
 
@@ -256,28 +250,14 @@ def test_norm_bounded_by_classical_envelope(roster):
         assert top <= bound + 1e-6, name
 
 
-def test_matrix_round_trip(tmp_path):
-    m = build_diagonal_polydisk_matrix(Lens(0.25), 2, 12)
-    path = tmp_path / "matrix.bin"
-    save_matrix(m, path)
-    loaded = load_matrix(path)
-    assert np.max(np.abs(loaded.entries - m.entries)) < 1e-15
-    assert loaded.truncation == 12
-    assert np.allclose(loaded.column_weights, m.column_weights)
-    assert isinstance(loaded.symbol, PolydiskMap)
-
-    plain = build_matrix(Scalar(0.3), 8)
-    save_matrix(plain, path)
-    again = load_matrix(path)
-    assert np.max(np.abs(again.entries - plain.entries)) < 1e-15
-
-
 def test_reweight_matches_direct_build():
-    base = build_matrix(Cusp(), 48)
-    for dim in (2, 3, 5):
-        fast = reweight_diagonal_matrix(base, dim)
-        direct = build_diagonal_polydisk_matrix(Cusp(), dim, 48)
-        assert np.max(np.abs(fast.entries - direct.entries)) < 1e-10
+    # the N-sweeps scale the N = 1 entries; that must be the direct build bit for bit
+    for spec in (Cusp(), Lens(0.25)):
+        base = build_matrix(spec, 48).entries
+        for dim in (2, 3, 5):
+            direct = build_matrix(spec, 48, dim)
+            assert np.array_equal(direct.entries, base * multiplicity_weights(48, dim))
+            assert direct.symbol == PolydiskMap.diagonal(spec, dim)
 
 
 def test_build_rejects_non_self_map():

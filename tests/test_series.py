@@ -5,11 +5,9 @@ import pytest
 
 from compoplab.series import (
     PowerSeries,
-    SpaceParam,
     extract_coefficients,
     series_mul,
     series_pow,
-    weighted_norm,
 )
 from compoplab.symbols import Lens
 
@@ -55,6 +53,13 @@ def test_extract_reports_singular_samples():
     r = 0.5
     with pytest.raises(ArithmeticError, match="singularity"):
         extract_coefficients(lambda z: 1.0 / (z - r), 4, radius=r)
+
+
+def test_extract_rejects_functions_above_one():
+    # the alias bound r^M/(1-r^M) holds only for sup |f| <= 1
+    with pytest.raises(ArithmeticError, match="sup"):
+        extract_coefficients(lambda z: 2 * z, 4)
+    extract_coefficients(lambda z: z, 4)  # |z| <= r < 1 passes
 
 
 def test_extract_reproduces_polynomials(rng):
@@ -110,44 +115,17 @@ def test_series_pow_additivity(rng):
         assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) < 1e-10
 
 
-def test_weighted_norm_constants_and_monomials():
-    one = PowerSeries([1.0])
-    for gamma in (-1.0, 0.0, 2.0):
-        assert weighted_norm(one, SpaceParam(gamma)) == pytest.approx(1.0)
-    for n, gamma in ((3, 0.0), (7, 1.5), (4, -1.0)):
-        mono = PowerSeries([0.0] * n + [1.0])
-        expected = (n + 1.0) ** (-(gamma + 1.0) / 2.0)
-        assert weighted_norm(mono, SpaceParam(gamma)) == pytest.approx(expected, rel=1e-12)
-
-
-def test_weighted_norm_matches_area_integral_oracle(rng):
-    # gamma = 0: the coefficient norm equals the normalized area integral of
-    # |f|^2 exactly; Gauss-Legendre in r paired with a trapezoid rule in the
-    # angle is exact for polynomial integrands
-    coeffs = rng.normal(size=11) + 1j * rng.normal(size=11)
-    p = PowerSeries(coeffs)
-    nodes, weights = np.polynomial.legendre.leggauss(64)
-    r = 0.5 * (nodes + 1.0)
-    w = 0.5 * weights
-    m = 64
-    t = 2.0 * np.pi * np.arange(m) / m
-    grid = r[:, None] * np.exp(1j * t[None, :])
-    vals = p(grid)
-    integral = float(np.sum(w * np.mean(np.abs(vals) ** 2, axis=1) * 2.0 * r))
-    assert weighted_norm(p, SpaceParam(0.0)) ** 2 == pytest.approx(integral, rel=1e-10)
-
-
 def test_shift_contracts_hardy_norm(rng):
-    # multiplying the base by z can only shed truncated coefficient mass
-    hardy = SpaceParam.hardy()
+    # multiplying the base by z can only shed truncated coefficient mass;
+    # the H^2 norm is the l2 norm of the coefficients
     for _ in range(5):
         coeffs = rng.normal(size=5)
         coeffs /= 2.0 * np.sum(np.abs(coeffs))
         q = PowerSeries(coeffs)
         zq = PowerSeries(np.concatenate([[0.0], coeffs]))
         for k in (1, 2, 5):
-            lhs = weighted_norm(series_pow(zq, k, order=12), hardy)
-            rhs = weighted_norm(series_pow(q, k, order=12), hardy)
+            lhs = np.linalg.norm(series_pow(zq, k, order=12).coeffs)
+            rhs = np.linalg.norm(series_pow(q, k, order=12).coeffs)
             assert lhs <= rhs + 1e-12
 
 
@@ -158,5 +136,3 @@ def test_power_series_validation():
         PowerSeries([1.0], alias_error=-1.0)
     with pytest.raises(ValueError):
         PowerSeries([1.0], alias_error=float("nan"))
-    with pytest.raises(ValueError):
-        SpaceParam(-2.0)

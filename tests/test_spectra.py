@@ -16,7 +16,7 @@ from compoplab.spectra import (
     extremal_pair_count,
     extremal_spectrum,
     find_M,
-    lower_bound_sanity,
+    linear_fit,
     nu_count,
     nu_count_bruteforce,
     schatten_membership,
@@ -268,23 +268,6 @@ def test_decay_fit_guards():
         decay_fit(np.exp(-np.arange(1.0, 51.0)), "exp_linear", (1, 100))
 
 
-def test_lower_bound_sanity_reports():
-    geo = 2.0 ** -np.arange(1, 200, dtype=float)
-    rep = lower_bound_sanity(geo)
-    assert rep.bounded
-    assert rep.min_log_slope == pytest.approx(-math.log(2.0), abs=1e-9)
-
-    flat = np.ones(256)
-    rep = lower_bound_sanity(flat, full_norm=True)
-    assert rep.trend_toward_zero
-
-    stretched = np.exp(-np.sqrt(np.arange(1, 300, dtype=float)))
-    rep = lower_bound_sanity(stretched, full_norm=True)
-    assert rep.trend_toward_zero
-    with pytest.raises(ValueError):
-        lower_bound_sanity(np.array([1.0, 0.0]))
-
-
 def test_schatten_membership_classification():
     n = np.arange(1, (1 << 16) + 1, dtype=float)
     with np.errstate(under="ignore"):
@@ -349,24 +332,17 @@ def test_upper_bound_plain_accepts_delta_schedule():
     assert 0.0 < value < 1.0
 
 
-def test_spectrum_csv_and_fit_export(tmp_path):
-    import json
-
-    from compoplab.spectra import fit_to_dict, write_spectrum_csv
-
-    n = np.arange(1, 40, dtype=float)
-    values = np.exp(-np.sqrt(n))
-    path = tmp_path / "spectrum.csv"
-    write_spectrum_csv(values, path, meta={"symbol": "synthetic"})
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("# {")
-    assert lines[1] == "n,s_n"
-    assert len(lines) == 2 + values.size
-
-    fit = decay_fit(values, "stretched_exp", (1, 39))
-    doc = fit_to_dict(fit)
-    parsed = json.loads(json.dumps(doc))
-    assert parsed["model"] == "stretched_exp"
-    assert parsed["fit_range"] == [1, 39]
-    assert abs(parsed["params"]["exponent"] - 0.5) < 1e-6
-
+def test_linear_fit_line_constant_and_noise(rng):
+    x = np.linspace(-3.0, 5.0, 17)
+    slope, intercept, r2 = linear_fit(x, 2.5 * x - 0.75)
+    assert slope == pytest.approx(2.5, abs=1e-12)
+    assert intercept == pytest.approx(-0.75, abs=1e-12)
+    assert r2 == pytest.approx(1.0, abs=1e-12)
+    # constant y: nothing to explain, the ss_tot == 0 branch reports R^2 = 1
+    slope, intercept, r2 = linear_fit(x, np.full(x.size, 4.0))
+    assert r2 == 1.0
+    assert slope == pytest.approx(0.0, abs=1e-12)
+    assert intercept == pytest.approx(4.0, abs=1e-12)
+    # for a least-squares line R^2 is the squared correlation coefficient
+    y = x + rng.normal(size=x.size)
+    assert linear_fit(x, y)[2] == pytest.approx(np.corrcoef(x, y)[0, 1] ** 2, rel=1e-12)
