@@ -423,9 +423,7 @@ def _exp_spiral_harmonic(rec: _Recorder):
     n_w = 10**5
     radii = np.sqrt(rng.uniform(1e-12, 1.0, n_w))
     angles = rng.uniform(0.0, 2.0 * math.pi, n_w)
-    counts = np.array(
-        [covering_count(region, complex(r * math.cos(a), r * math.sin(a))) for r, a in zip(radii, angles)]
-    )
+    counts = covering_count(region, radii * np.cos(angles) + 1j * (radii * np.sin(angles)))
     freq2 = float(np.mean(counts == 2))
     rec.table(
         "covering",

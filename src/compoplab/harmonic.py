@@ -214,13 +214,11 @@ def wos_harmonic_measures(
         raise ValueError("need at least one trajectory")
     if step_cap < 1:
         raise ValueError(f"step_cap must be >= 1, got {step_cap}")
-    pos = np.full(samples, complex(region.base_point), dtype=complex)
-    alive = np.ones(samples, dtype=bool)
     scores = np.zeros(len(targets))
     n_far = 0
     n_capped = 0
     iteration = 0
-    p = pos
+    p = np.full(samples, complex(region.base_point), dtype=complex)
     while True:
         n_active = p.size
         if n_active == 0:
@@ -290,24 +288,25 @@ def level_set_tail(region: GraphChannel, h: float, **kwargs) -> HarmonicMeasureE
     return wos_harmonic_measure(region, lambda pts: pts.real < cut, **kwargs)
 
 
-def covering_count(region: GraphChannel, w: complex) -> int:
+def covering_count(region: GraphChannel, w: complex | np.ndarray) -> int | np.ndarray:
     """Number of solutions z in Omega of e^{-z} = w; always 1 or 2.
 
     Solutions are z = x + iy with x = -log|w| and y = -arg(w) mod 2pi; the
     open vertical section (g(x), g(x) + 4pi) of length exactly 4pi
     contains two such y except when an endpoint collides (then one).
+    Accepts a scalar (returns an int) or an array (returns an int array).
     """
-    mod = abs(w)
-    if not 0.0 < mod < 1.0:
+    w = np.asarray(w, dtype=complex)
+    mod = np.abs(w)
+    if not np.all((0.0 < mod) & (mod < 1.0)):
         raise ValueError("argument must lie in the punctured open disk")
-    x = -math.log(mod)
-    y0 = (-math.atan2(w.imag, w.real)) % TWO_PI
+    x = -np.log(mod)
+    y0 = (-np.arctan2(w.imag, w.real)) % TWO_PI
     lo = region.g(x)
     hi = lo + FOUR_PI
-    k_start = math.floor((lo - y0) / TWO_PI) - 1
-    count = 0
-    for k in range(k_start, k_start + 5):
-        y = y0 + TWO_PI * k
-        if lo < y < hi:
-            count += 1
-    return count
+    k_start = np.floor((lo - y0) / TWO_PI) - 1.0
+    count = np.zeros(w.shape, dtype=int)
+    for k in range(5):
+        y = y0 + TWO_PI * (k_start + k)
+        count += (lo < y) & (y < hi)
+    return int(count) if count.ndim == 0 else count

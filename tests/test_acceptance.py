@@ -299,12 +299,7 @@ def test_criterion_09_covering_two_valence():
     rng = np.random.default_rng(99)
     radii = np.sqrt(rng.uniform(1e-12, 1.0, 10**5))
     angles = rng.uniform(0.0, 2.0 * math.pi, 10**5)
-    counts = np.array(
-        [
-            covering_count(region, complex(r * math.cos(a), r * math.sin(a)))
-            for r, a in zip(radii, angles)
-        ]
-    )
+    counts = covering_count(region, radii * np.cos(angles) + 1j * (radii * np.sin(angles)))
     freq2 = float(np.mean(counts == 2))
     ok = counts.min() >= 1 and counts.max() <= 2 and freq2 > 0.999
     detail = f"counts in [{counts.min()},{counts.max()}], freq(2)={freq2:.5f} on 1e5 points"

@@ -148,23 +148,41 @@ def test_wos_deterministic_given_seed(channel):
 def test_covering_count_examples(channel):
     w = cmath_from_polar(math.exp(-PI), -PI / 2)
     assert covering_count(channel, w) == 2
+    assert type(covering_count(channel, w)) is int
     assert covering_count(channel, -math.exp(-PI)) == 1
     with pytest.raises(ValueError):
         covering_count(channel, 0.0)
     with pytest.raises(ValueError):
         covering_count(channel, 1.5)
+    with pytest.raises(ValueError):
+        covering_count(channel, np.array([w, 1.5]))
+    with pytest.raises(ValueError):
+        covering_count(channel, np.array([w, complex("nan")]))
 
 
 def cmath_from_polar(r, phi):
     return complex(r * math.cos(phi), r * math.sin(phi))
 
 
+def scalar_covering_count(region, w: complex) -> int:
+    """Per-point reference: the definition in scalar math.log/math.atan2."""
+    x = -math.log(abs(w))
+    y0 = (-math.atan2(w.imag, w.real)) % (2 * PI)
+    lo = region.g(x)
+    k_start = math.floor((lo - y0) / (2 * PI)) - 1
+    return sum(
+        1 for k in range(k_start, k_start + 5) if lo < y0 + 2 * PI * k < lo + 4 * PI
+    )
+
+
 def test_covering_count_random_sweep(channel, rng):
     radii = np.sqrt(rng.uniform(1e-12, 1.0, 10**4))
     angles = rng.uniform(0.0, 2 * PI, 10**4)
-    counts = np.array(
-        [covering_count(channel, cmath_from_polar(r, a)) for r, a in zip(radii, angles)]
-    )
+    points = [cmath_from_polar(r, a) for r, a in zip(radii, angles)]
+    counts = covering_count(channel, np.array(points))
+    assert counts.shape == (10**4,)
+    assert np.array_equal(counts, [scalar_covering_count(channel, w) for w in points])
+    assert counts[17] == covering_count(channel, points[17])
     assert counts.min() >= 1
     assert counts.max() <= 2
     assert np.mean(counts == 2) > 0.999

@@ -94,6 +94,8 @@ def test_merge_supermultiplicativity():
 def test_merge_rejects_empty():
     with pytest.raises(ValueError):
         tensor_merge([], 5)
+    with pytest.raises(ValueError):
+        tensor_merge([[1.0]], 0)
 
 
 def test_nu_count_trivial_and_synthetic():
