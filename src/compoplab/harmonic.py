@@ -12,6 +12,7 @@ e^{-f} without constructing the conformal map f.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -33,6 +34,9 @@ TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
 DEFAULT_ALPHA = 5.0 * math.pi
 DEFAULT_BASE = complex(math.pi, 3.0 * math.pi)
+# points per pass of GraphChannel.distance_vector: its ~30 temporaries of
+# this length stay in cache instead of streaming whole-ensemble arrays
+_DISTANCE_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -152,16 +156,20 @@ class GraphChannel:
         shrinking the horizon to the current candidate distance give a
         fixed point from above.
         """
-        x, y = p.real, p.imag
-        g = self.g(x)
-        gap_lo = y - g
-        gap_hi = g + FOUR_PI - y
-        gap = np.minimum(gap_lo, gap_hi)
-        delta = np.minimum(x * 0.5, gap)
-        for _ in range(3):
-            slope = self.g_slope_bound(x - delta, x + delta)
-            delta = np.minimum(delta, gap / np.sqrt(1.0 + slope * slope))
-        return delta
+        out = np.empty(p.shape)
+        for lo in range(0, p.size, _DISTANCE_BLOCK):
+            block = p[lo : lo + _DISTANCE_BLOCK]
+            x, y = block.real, block.imag
+            g = self.g(x)
+            gap_lo = y - g
+            gap_hi = g + FOUR_PI - y
+            gap = np.minimum(gap_lo, gap_hi)
+            delta = np.minimum(x * 0.5, gap)
+            for _ in range(3):
+                slope = self.g_slope_bound(x - delta, x + delta)
+                delta = np.minimum(delta, gap / np.sqrt(1.0 + slope * slope))
+            out[lo : lo + _DISTANCE_BLOCK] = delta
+        return out
 
     def far_mask(self, p: np.ndarray) -> np.ndarray:
         return p.real > self.far_x
@@ -192,6 +200,12 @@ def _iteration_rng(seed: int, iteration: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _unit_steps(seed: int, iteration: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of the n angles Philox draws for (seed, iteration)."""
+    angles = _iteration_rng(seed, iteration).uniform(0.0, TWO_PI, n)
+    return np.cos(angles), np.sin(angles)
+
+
 def wos_harmonic_measures(
     region,
     targets: Sequence[Callable[[np.ndarray], np.ndarray]],
@@ -206,7 +220,12 @@ def wos_harmonic_measures(
     the circle of certified radius, and are absorbed once the radius drops
     below eps_absorb; each target predicate is scored on the absorbed
     point.  Deterministic given the seed: the angle used by trajectory i at
-    step k is a fixed function of (seed, k) and the surviving order.
+    step k is the i-th Philox uniform keyed by (seed, k), i counting the
+    surviving order.  A Philox draw of n values begins with the draw of
+    any m <= n, so one worker thread draws the angles (and their cos and
+    sin) for the n walks active at step k while the calling thread applies
+    step k - 1 and computes distances and absorption; the m survivors of
+    step k use the first m.
     """
     if eps_absorb <= 0:
         raise ValueError("eps_absorb must be positive")
@@ -219,35 +238,36 @@ def wos_harmonic_measures(
     n_capped = 0
     iteration = 0
     p = np.full(samples, complex(region.base_point), dtype=complex)
-    while True:
-        n_active = p.size
-        if n_active == 0:
-            break
-        if iteration >= step_cap:
-            n_capped = n_active
-            break
-        far = region.far_mask(p)
-        if np.any(far):
-            far_pts = p[far]
-            for i, sc in enumerate(region.far_scores(far_pts, targets)):
-                scores[i] += float(sc.sum())
-            n_far += far_pts.size
-            p = p[~far]
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        steps = pool.submit(_unit_steps, seed, iteration, p.size)
+        while True:
+            far = region.far_mask(p)
+            if np.any(far):
+                far_pts = p[far]
+                for i, sc in enumerate(region.far_scores(far_pts, targets)):
+                    scores[i] += float(sc.sum())
+                n_far += far_pts.size
+                p = p[~far]
+            if p.size:
+                d = region.distance_vector(p)
+                absorb = d < eps_absorb
+                if np.any(absorb):
+                    hit = p[absorb]
+                    for i, pred in enumerate(targets):
+                        scores[i] += float(np.count_nonzero(pred(hit)))
+                    p = p[~absorb]
+                    d = d[~absorb]
+            cos_a, sin_a = steps.result()
+            iteration += 1
             if p.size == 0:
                 break
-        d = region.distance_vector(p)
-        absorb = d < eps_absorb
-        if np.any(absorb):
-            hit = p[absorb]
-            for i, pred in enumerate(targets):
-                scores[i] += float(np.count_nonzero(pred(hit)))
-            p = p[~absorb]
-            d = d[~absorb]
-        if p.size:
-            rng = _iteration_rng(seed, iteration)
-            angles = rng.uniform(0.0, TWO_PI, p.size)
-            p = p + d * np.exp(1j * angles)
-        iteration += 1
+            if iteration >= step_cap:
+                n_capped = p.size
+                break
+            # the next step's draw runs while this one is applied
+            steps = pool.submit(_unit_steps, seed, iteration, p.size)
+            p.real += d * cos_a[: p.size]
+            p.imag += d * sin_a[: p.size]
 
     completed = samples - n_capped
     if completed == 0:

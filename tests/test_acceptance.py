@@ -201,7 +201,7 @@ def test_criterion_04_tensor_merge_correctness():
 def test_criterion_05_tensor_lemma():
     ok = True
     details = []
-    for a_exp, b_exp in [(2.0, 1.0), (1.5, 2.25), (2.0, 1.0), (2.0, 2.0), (2.0, 3.0), (2.0, 4.0)]:
+    for a_exp, b_exp in [(2.0, 1.0), (1.5, 2.25), (2.0, 2.0), (2.0, 3.0), (2.0, 4.0)]:
         m_const = find_M(a_exp, b_exp)
         levels = 31
         s = extremal_spectrum(a_exp, 1.0, levels)

@@ -1,9 +1,14 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 
 from compoplab.harmonic import (
+    _DISTANCE_BLOCK,
+    _iteration_rng,
+    FOUR_PI,
+    TWO_PI,
     DiskRegion,
     GraphChannel,
     HalfPlaneRegion,
@@ -209,6 +214,165 @@ def test_every_walk_capped_names_the_count():
     # from the center of the unit disk no walk is absorbed in one step
     with pytest.raises(RuntimeError, match="all 100 walks hit step_cap=1"):
         wos_harmonic_measure(DiskRegion(), lambda p: p.real > 0, samples=100, step_cap=1)
-    # a cap that lets some walks finish still gives an estimate over them
-    est = wos_harmonic_measure(DiskRegion(), lambda p: p.real > 0, samples=100, step_cap=40)
-    assert est.samples + est.n_step_capped == 100 and est.samples > 0
+    # a cap that lets some walks finish still gives an estimate over them;
+    # from the center every walk lands on the circle at once, so start off it
+    est = wos_harmonic_measure(
+        DiskRegion(base_point=0.5), lambda p: p.real > 0, samples=100, step_cap=20
+    )
+    assert est.samples + est.n_step_capped == 100 and est.samples > 0 and est.n_step_capped > 0
+
+
+def _unblocked_channel_distance(channel, p):
+    """GraphChannel.distance_vector as one pass over the whole array."""
+    x, y = p.real, p.imag
+    g = channel.g(x)
+    gap_lo = y - g
+    gap_hi = g + FOUR_PI - y
+    gap = np.minimum(gap_lo, gap_hi)
+    delta = np.minimum(x * 0.5, gap)
+    for _ in range(3):
+        slope = channel.g_slope_bound(x - delta, x + delta)
+        delta = np.minimum(delta, gap / np.sqrt(1.0 + slope * slope))
+    return delta
+
+
+def _reference_walks(region, targets, samples, seed, step_cap, eps_absorb=1e-6):
+    """The engine before its angle draws moved to a worker thread: Philox
+    angles drawn for the survivors only, a complex-exp step, and the
+    unblocked channel distance.  Returns (scores, n_far, n_capped)."""
+    if isinstance(region, GraphChannel):
+        distance = lambda p: _unblocked_channel_distance(region, p)  # noqa: E731
+    else:
+        distance = region.distance_vector
+    scores = np.zeros(len(targets))
+    n_far = 0
+    n_capped = 0
+    iteration = 0
+    p = np.full(samples, complex(region.base_point), dtype=complex)
+    while True:
+        n_active = p.size
+        if n_active == 0:
+            break
+        if iteration >= step_cap:
+            n_capped = n_active
+            break
+        far = region.far_mask(p)
+        if np.any(far):
+            far_pts = p[far]
+            for i, sc in enumerate(region.far_scores(far_pts, targets)):
+                scores[i] += float(sc.sum())
+            n_far += far_pts.size
+            p = p[~far]
+            if p.size == 0:
+                break
+        d = distance(p)
+        absorb = d < eps_absorb
+        if np.any(absorb):
+            hit = p[absorb]
+            for i, pred in enumerate(targets):
+                scores[i] += float(np.count_nonzero(pred(hit)))
+            p = p[~absorb]
+            d = d[~absorb]
+        if p.size:
+            rng = _iteration_rng(seed, iteration)
+            angles = rng.uniform(0.0, TWO_PI, p.size)
+            p = p + d * np.exp(1j * angles)
+        iteration += 1
+    return scores, n_far, n_capped
+
+
+def _recording_targets(log, predicates):
+    """Wrap predicates so the first one logs a copy of every absorbed batch."""
+
+    def first(pts, pred=predicates[0]):
+        log.append(pts.copy())
+        return pred(pts)
+
+    return [first, *predicates[1:]]
+
+
+def _tail(p):
+    return p.imag > 5 * PI + 1.0
+
+
+# three full distance blocks and a partial one
+_CHANNEL_WALKS = 3 * _DISTANCE_BLOCK + 5
+
+
+@pytest.mark.parametrize(
+    "region, predicates, samples, step_cap",
+    [
+        # the cap stops about 4% of the walks
+        (GraphChannel(), [_tail, lambda p: p.real < 0.1], _CHANNEL_WALKS, 300),
+        (GraphChannel(), [_tail], _CHANNEL_WALKS, 10**6),
+        # off-center, so walks take many steps before absorption
+        (
+            DiskRegion(base_point=0.3 + 0.1j),
+            [lambda p: p.real > 0, lambda p: p.imag > 0.5],
+            10**4,
+            10**6,
+        ),
+        (HalfPlaneRegion(cutoff=3.0), [lambda p: np.abs(p.real) < 1.0], 10**4, 10**6),
+    ],
+    ids=["channel-capped", "channel", "disk", "half-plane-far-field"],
+)
+def test_walks_bit_identical_to_reference_engine(region, predicates, samples, step_cap):
+    ref_log, log = [], []
+    ref_scores, ref_far, ref_capped = _reference_walks(
+        region, _recording_targets(ref_log, predicates), samples, seed=41, step_cap=step_cap
+    )
+    estimates = wos_harmonic_measures(
+        region, _recording_targets(log, predicates), samples=samples, seed=41, step_cap=step_cap
+    )
+    assert len(log) == len(ref_log) > 0
+    for got, want in zip(log, ref_log):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+    completed = samples - ref_capped
+    for est, score in zip(estimates, ref_scores):
+        assert est.probability == score / completed
+        assert est.samples == completed
+        assert est.n_far_field == ref_far
+        assert est.n_step_capped == ref_capped
+    if step_cap < 10**6:
+        assert 0 < ref_capped < samples
+    if isinstance(region, HalfPlaneRegion):
+        assert ref_far > 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 8192, 10**5])
+def test_philox_draw_begins_with_every_shorter_draw(n):
+    full = _iteration_rng(7, 3).uniform(0.0, TWO_PI, n)
+    for m in sorted({0, 1, n // 2, n}):
+        prefix = _iteration_rng(7, 3).uniform(0.0, TWO_PI, m)
+        assert np.array_equal(full[:m].view(np.uint8), prefix.view(np.uint8))
+
+
+@pytest.mark.parametrize(
+    "size", [0, 1, _DISTANCE_BLOCK - 1, _DISTANCE_BLOCK, _DISTANCE_BLOCK + 1, _CHANNEL_WALKS]
+)
+def test_blocked_channel_distance_is_the_unblocked_formula(channel, rng, size):
+    x = np.geomspace(1e-2, 2e4, size)
+    rng.shuffle(x)
+    y = channel.g(x) + rng.uniform(0.0, 1.0, size) * 4 * PI
+    p = x + 1j * y
+    got = channel.distance_vector(p)
+    want = _unblocked_channel_distance(channel, p)
+    assert got.shape == want.shape == (size,)
+    assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+def test_worker_thread_ends_on_every_exit():
+    before = threading.active_count()
+
+    def failing(pts):
+        raise ValueError("predicate failed")
+
+    with pytest.raises(ValueError, match="predicate failed"):
+        wos_harmonic_measure(DiskRegion(), failing, samples=1000, seed=2)
+    assert threading.active_count() == before
+    wos_harmonic_measure(DiskRegion(), lambda p: p.real > 0, samples=1000, seed=2)
+    assert threading.active_count() == before
+    with pytest.raises(RuntimeError, match="all 100 walks hit step_cap=1"):
+        wos_harmonic_measure(DiskRegion(), lambda p: p.real > 0, samples=100, step_cap=1)
+    assert threading.active_count() == before
