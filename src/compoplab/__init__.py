@@ -31,15 +31,9 @@ from .symbols import (
     Symbol,
     blaschke_contraction_ratio,
     boundary_eval,
-    lens_semigroup_check,
     shipped_symbols,
 )
-from .carleson import (
-    CarlesonOrderFit,
-    CarlesonProfile,
-    carleson_order_fit,
-    rho_profile,
-)
+from .carleson import CarlesonProfile, rho_profile
 from .operators import (
     OperatorMatrix,
     SizeGuardError,
@@ -60,7 +54,6 @@ from .spectra import (
     find_M,
     linear_fit,
     nu_count,
-    schatten_membership,
     singular_values,
     tensor_lemma_report,
     tensor_merge,
@@ -73,8 +66,6 @@ from .harmonic import (
     HalfPlaneRegion,
     HarmonicMeasureEstimate,
     covering_count,
-    distance_lower_bound,
-    level_set_tail,
     wos_harmonic_measure,
     wos_harmonic_measures,
 )

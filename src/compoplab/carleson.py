@@ -15,16 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import linear_fit
 from .symbols import DEFAULT_BOUNDARY_RADIUS, Symbol, boundary_eval
 
 __all__ = [
     "DEFAULT_SAMPLES",
     "default_h_grid",
     "CarlesonProfile",
-    "CarlesonOrderFit",
     "rho_profile",
-    "carleson_order_fit",
 ]
 
 DEFAULT_SAMPLES = 1 << 20
@@ -169,23 +166,3 @@ def rho_profile(
     return CarlesonProfile(
         h_grid, rho, lev, samples=samples, xi_grid_size=max_centers, r_b=r_b, rho_upper=upper
     )
-
-
-@dataclass(frozen=True)
-class CarlesonOrderFit:
-    """Least-squares exponent of rho(h) ~ h^alpha; degenerate when rho has
-    fewer than four positive grid values."""
-
-    alpha: float | None
-    r_squared: float | None
-    points_used: int
-    degenerate: bool
-
-
-def carleson_order_fit(profile: CarlesonProfile) -> CarlesonOrderFit:
-    mask = profile.rho_hat > 0.0
-    n = int(np.count_nonzero(mask))
-    if n < 4:
-        return CarlesonOrderFit(alpha=None, r_squared=None, points_used=n, degenerate=True)
-    slope, _, r2 = linear_fit(np.log(profile.h_grid[mask]), np.log(profile.rho_hat[mask]))
-    return CarlesonOrderFit(alpha=slope, r_squared=r2, points_used=n, degenerate=False)

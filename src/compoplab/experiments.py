@@ -67,6 +67,17 @@ __all__ = [
     "RunManifest",
     "REGISTRY",
     "run",
+    "kernel_sweep",
+    "kernel_slope",
+    "kronecker_gap",
+    "pair_count_agrees",
+    "merge_check",
+    "harness_pair",
+    "spiral_ensemble",
+    "tail_slope",
+    "level_constant",
+    "covering_sample",
+    "witness_growth",
 ]
 
 
@@ -201,7 +212,13 @@ def _exp_cusp_diagonal(rec: _Recorder):
     )
 
 
-def _kernel_sweep(poly: PolydiskMap, j_max: int = 30):
+# ---------------------------------------------------------------------------
+# measurements shared by the experiment bodies and the acceptance criteria;
+# each caller passes its own sample counts, seeds and ranges
+
+
+def kernel_sweep(poly: PolydiskMap, j_max: int = 30):
+    """Rows (j, r, kernel ratio) at the kernel points (r, 0, ..., 0), r = 1 - 2^-j."""
     rows = []
     for j in range(1, j_max + 1):
         r = 1.0 - 2.0**-j
@@ -210,23 +227,130 @@ def _kernel_sweep(poly: PolydiskMap, j_max: int = 30):
     return rows
 
 
+def kernel_slope(rows) -> float:
+    """Slope of log ratio against log 1/(1-r) = j log 2 over the rows with j >= 10."""
+    js = np.array([r[0] for r in rows])
+    logs = np.log([r[2] for r in rows])
+    window = js >= 10
+    return linear_fit(js[window] * math.log(2.0), logs[window])[0]
+
+
+def kronecker_gap(rngs) -> float:
+    """max |merged - kron| / kron[0] over one random 5x5 (x) 6x6 complex pair per generator."""
+    worst = 0.0
+    for rng in rngs:
+        a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        b = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        sa = np.linalg.svd(a, compute_uv=False)
+        sb = np.linalg.svd(b, compute_uv=False)
+        merged = tensor_merge([sa, sb], 30)
+        kron = np.linalg.svd(np.kron(a, b), compute_uv=False)
+        worst = max(worst, float(np.max(np.abs(merged.values - kron))) / kron[0])
+    return worst
+
+
+def pair_count_agrees(a_exp: float, b_exp: float, ns) -> bool:
+    """nu_count equals the double-loop oracle on the extremal sequences (rate 1,
+    31 levels) at every n in ns."""
+    s = extremal_spectrum(a_exp, 1.0, 31)
+    t = extremal_spectrum(b_exp, 1.0, 31)
+    return all(nu_count(s, t, 1.0, n) == nu_count_bruteforce(s, t, 1.0, n) for n in ns)
+
+
+def merge_check(a_exp: float, b_exp: float):
+    """(M, rows (n, rank, merged value, target e^(-n)), whether every value is within
+    1e-12 of its target): the merged extremal spectrum at rank M n^(A+B), n <= 30."""
+    m_const = find_M(a_exp, b_exp)
+    s = extremal_spectrum(a_exp, 1.0, levels=31)
+    t = extremal_spectrum(b_exp, 1.0, levels=31)
+    power = int(a_exp + b_exp)
+    merged = tensor_merge([s, t], m_const * 30**power)
+    ok = True
+    rows = []
+    for n in range(1, 31):
+        rank = m_const * n**power
+        value = merged.a(min(rank, len(merged)))
+        bound = math.exp(-n)
+        rows.append((n, rank, value, bound))
+        ok = ok and value <= bound * (1.0 + 1e-12)
+    return m_const, rows, ok
+
+
+def harness_pair(samples: int, seed: int):
+    """Walk-on-spheres calibration: the disk half-arc at `seed` and the
+    half-plane segment (-1, 1) at `seed + 1`; both have exact measure 1/2."""
+    disk = wos_harmonic_measure(
+        DiskRegion(), lambda p: np.abs(np.angle(p)) <= math.pi / 2.0, samples=samples, seed=seed
+    )
+    half = wos_harmonic_measure(
+        HalfPlaneRegion(), lambda p: np.abs(p.real) < 1.0, samples=samples, seed=seed + 1
+    )
+    return disk, half
+
+
+def spiral_ensemble(region: GraphChannel, samples: int, seed: int):
+    """(ys, hs, tail estimates, level estimates) from one walk ensemble scored on the
+    tails Im w > y, y = alpha + 1, 2, 3, and the level sets Re w < -log(1 - h)."""
+    ys = [region.alpha + 1.0, region.alpha + 2.0, region.alpha + 3.0]
+    hs = [0.1, 0.05, 0.025]
+    targets = [(lambda pts, yy=y: pts.imag > yy) for y in ys]
+    targets += [(lambda pts, hh=h: pts.real < -math.log1p(-hh)) for h in hs]
+    estimates = wos_harmonic_measures(region, targets, samples=samples, seed=seed)
+    return ys, hs, estimates[: len(ys)], estimates[len(ys) :]
+
+
+def tail_slope(ys, tails):
+    """(slope of log p against y over the positive estimates, their count);
+    the slope is nan when fewer than two are positive."""
+    probs = np.array([e.probability for e in tails])
+    positive = probs > 0
+    count = int(np.count_nonzero(positive))
+    if count < 2:
+        return float("nan"), count
+    return linear_fit(np.asarray(ys)[positive], np.log(probs[positive]))[0], count
+
+
+def level_constant(region: GraphChannel, hs, levels, tol: float):
+    """(shape e^(5 pi - g(2h)), level probabilities, fitted constant c_hat,
+    whether every probability is at most max(c_hat, 1) * shape + tol)."""
+    g2h = np.array([float(region.g(np.array([2.0 * h]))[0]) for h in hs])
+    shape = np.exp(5.0 * math.pi - g2h)
+    probs = np.array([e.probability for e in levels])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c_hat = float(np.max(np.where(shape > 0, probs / shape, 0.0)))
+    return shape, probs, c_hat, bool(np.all(probs <= max(c_hat, 1.0) * shape + tol))
+
+
+def covering_sample(region: GraphChannel, seed: int) -> np.ndarray:
+    """Covering counts of e^(-z) at 1e5 uniform points of the punctured disk."""
+    rng = np.random.default_rng(seed)
+    radii = np.sqrt(rng.uniform(1e-12, 1.0, 10**5))
+    angles = rng.uniform(0.0, 2.0 * math.pi, 10**5)
+    return covering_count(region, radii * np.cos(angles) + 1j * (radii * np.sin(angles)))
+
+
+def witness_growth(points: int):
+    """Unboundedness witnesses at `points` log-spaced n in [10, 1e4] and the
+    log-log slope of their ratio; returns (ns, witnesses, slope)."""
+    ns = np.unique(np.geomspace(10, 10**4, points).astype(int))
+    witnesses = [unboundedness_witness(int(n)) for n in ns]
+    slope = linear_fit(np.log(ns), np.log([w.ratio for w in witnesses]))[0]
+    return ns, witnesses, slope
+
+
 def _exp_lens_trichotomy(rec: _Recorder):
     cfg = rec.config
     dim = cfg.n_dim or 2
     thetas = [cfg.theta] if cfg.theta else [0.5 / dim, 1.0 / dim, 2.0 / dim]
     for theta in thetas:
         poly = PolydiskMap.diagonal(Lens(theta), dim)
-        rows = _kernel_sweep(poly)
+        rows = kernel_sweep(poly)
         rec.table(
             f"kernel_ratio_theta{theta:.4f}".replace(".", "p"),
             ["j", "r", "ratio"],
             rows,
         )
-        js = np.array([r[0] for r in rows])
-        logs = np.log([r[2] for r in rows])
-        u = js * math.log(2.0)  # log 1/(1-r)
-        window = (js >= 10) & (js <= 30)
-        slope = linear_fit(u[window], logs[window])[0]
+        slope = kernel_slope(rows)
         regime = dim * theta
         if regime > 1.0 + 1e-9:
             target = (dim * theta - 1.0) / 2.0
@@ -279,40 +403,18 @@ def _exp_tensor_lemma(rec: _Recorder):
     rec.table("nu_counts", ["A", "B", "n", "nu_n", "rank_budget"], nu_rows)
 
     # direct merged-spectrum verification for the smallest pair
-    c = 1.0
-    a_exp, b_exp = 2.0, 1.0
-    m_const = find_M(a_exp, b_exp)
-    s = extremal_spectrum(a_exp, c, levels=31)
-    t = extremal_spectrum(b_exp, c, levels=31)
     rec.check(
         "pair count agrees with the double-loop oracle",
-        all(nu_count(s, t, c, n) == nu_count_bruteforce(s, t, c, n) for n in (5, 9, 14)),
+        pair_count_agrees(2.0, 1.0, (5, 9, 14)),
         "A=2, B=1",
     )
-    n_need = m_const * 30 ** int(a_exp + b_exp)
-    merged = tensor_merge([s, t], n_need)
-    ok = True
-    rows = []
-    for n in range(1, 31):
-        rank = m_const * n ** int(a_exp + b_exp)
-        value = merged.a(min(rank, len(merged)))
-        bound = math.exp(-c * n)
-        rows.append((n, rank, value, bound))
-        ok = ok and value <= bound * (1.0 + 1e-12)
+    m_const, rows, ok = merge_check(2.0, 1.0)
     rec.table("merge_check", ["n", "rank", "merged_value", "target"], rows)
     rec.check("direct merge bound A=2 B=1", ok, f"M={m_const}")
 
     # merged spectra agree with Kronecker-product singular values
     rng = np.random.default_rng(cfg.seed)
-    worst = 0.0
-    for _ in range(10):
-        a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        b = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        sa = np.linalg.svd(a, compute_uv=False)
-        sb = np.linalg.svd(b, compute_uv=False)
-        merged = tensor_merge([sa / sa[0], sb / sb[0]], 30)
-        kron = np.linalg.svd(np.kron(a / sa[0], b / sb[0]), compute_uv=False)
-        worst = max(worst, float(np.max(np.abs(merged.values - kron))))
+    worst = kronecker_gap([rng] * 10)  # ten pairs drawn in turn from one generator
     rec.check("merge equals Kronecker SVD", worst < 1e-10, f"max gap {worst:.2e}")
 
 
@@ -320,20 +422,8 @@ def _exp_spiral_harmonic(rec: _Recorder):
     cfg = rec.config
     samples = cfg.samples or 10**6
     region = GraphChannel()
-    alpha = region.alpha
 
-    disk = wos_harmonic_measure(
-        DiskRegion(),
-        lambda p: np.abs(np.angle(p)) <= math.pi / 2.0,
-        samples=max(samples // 10, 10**4),
-        seed=cfg.seed,
-    )
-    half = wos_harmonic_measure(
-        HalfPlaneRegion(),
-        lambda p: np.abs(p.real) < 1.0,
-        samples=max(samples // 10, 10**4),
-        seed=cfg.seed + 1,
-    )
+    disk, half = harness_pair(max(samples // 10, 10**4), cfg.seed)
     rec.table(
         "harness",
         ["region", "target", "probability", "ci", "exact"],
@@ -353,12 +443,7 @@ def _exp_spiral_harmonic(rec: _Recorder):
         f"p={half.probability:.4f}",
     )
 
-    ys = [alpha + 1.0, alpha + 2.0, alpha + 3.0]
-    hs = [0.1, 0.05, 0.025]
-    targets = [(lambda pts, yy=y: pts.imag > yy) for y in ys]
-    targets += [(lambda pts, hh=h: pts.real < -math.log1p(-hh)) for h in hs]
-    estimates = wos_harmonic_measures(region, targets, samples=samples, seed=cfg.seed + 2)
-    tail, level = estimates[: len(ys)], estimates[len(ys) :]
+    ys, hs, tail, level = spiral_ensemble(region, samples, cfg.seed + 2)
 
     rec.table(
         "tails",
@@ -368,23 +453,17 @@ def _exp_spiral_harmonic(rec: _Recorder):
             for y, e in zip(ys, tail)
         ],
     )
-    probs = np.array([e.probability for e in tail])
-    positive = probs > 0
-    if int(np.count_nonzero(positive)) >= 2:
-        slope = linear_fit(np.asarray(ys)[positive], np.log(probs[positive]))[0]
+    slope, positive = tail_slope(ys, tail)
+    if positive >= 2:
         rec.check(
             "exponential tail slope <= -0.9",
             slope <= -0.9,
-            f"slope={slope:.3f} on {int(positive.sum())} points",
+            f"slope={slope:.3f} on {positive} points",
         )
     else:
         rec.check("exponential tail slope <= -0.9", False, "vanishing tail estimate")
 
-    g2h = np.array([float(region.g(np.array([2.0 * h]))[0]) for h in hs])
-    bound = np.exp(5.0 * math.pi - g2h)
-    level_p = np.array([e.probability for e in level])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c_hat = float(np.max(np.where(bound > 0, level_p / bound, 0.0)))
+    bound, level_p, c_hat, single_constant = level_constant(region, hs, level, 1e-12)
     rows = [
         (h, e.probability, e.ci_halfwidth, b, c_hat)
         for h, e, b in zip(hs, level, bound)
@@ -392,7 +471,7 @@ def _exp_spiral_harmonic(rec: _Recorder):
     rec.table("level_tail", ["h", "probability", "ci", "bound_shape", "c_hat"], rows)
     rec.check(
         "level-set bound with one constant",
-        bool(np.all(level_p <= max(c_hat, 1.0) * bound + 1e-12)) and np.all(level_p <= 1e-3),
+        single_constant and np.all(level_p <= 1e-3),
         f"c_hat={c_hat:.3g} max_p={level_p.max():.2e}",
     )
 
@@ -419,11 +498,7 @@ def _exp_spiral_harmonic(rec: _Recorder):
         f"margin at t=1e-3: {margin[0]:.1f}",
     )
 
-    rng = np.random.default_rng(cfg.seed + 3)
-    n_w = 10**5
-    radii = np.sqrt(rng.uniform(1e-12, 1.0, n_w))
-    angles = rng.uniform(0.0, 2.0 * math.pi, n_w)
-    counts = covering_count(region, radii * np.cos(angles) + 1j * (radii * np.sin(angles)))
+    counts = covering_sample(region, cfg.seed + 3)
     freq2 = float(np.mean(counts == 2))
     rec.table(
         "covering",
@@ -480,18 +555,14 @@ def _exp_polydisk_pairs(rec: _Recorder):
     dim = cfg.n_dim or 3
 
     # item 1: exact unboundedness witness, ratio ~ n^(1/4)
-    ns = np.unique(np.geomspace(10, 10**4, 25).astype(int))
-    rows = []
-    for n in ns:
-        w = unboundedness_witness(int(n))
-        rows.append((int(n), w.norm_f, w.norm_cf, w.ratio))
+    ns, witnesses, slope = witness_growth(25)
+    rows = [(int(n), w.norm_f, w.norm_cf, w.ratio) for n, w in zip(ns, witnesses)]
     rec.table("witness", ["n", "norm_f", "norm_cf", "ratio"], rows)
-    slope = linear_fit(np.log(ns), np.log([r[3] for r in rows]))[0]
     rec.check("witness growth exponent 1/4", abs(slope - 0.25) <= 0.03, f"slope={slope:.4f}")
 
     # item 2: lens diagonal at the critical exponent vs the surjective route
     poly = PolydiskMap.diagonal(Lens(1.0 / dim), dim)
-    krows = _kernel_sweep(poly)
+    krows = kernel_sweep(poly)
     rec.table("critical_kernel", ["j", "r", "ratio"], krows)
     ratios = np.array([r[2] for r in krows])
     rec.check(

@@ -23,10 +23,8 @@ __all__ = [
     "DiskRegion",
     "HalfPlaneRegion",
     "GraphChannel",
-    "distance_lower_bound",
     "wos_harmonic_measure",
     "wos_harmonic_measures",
-    "level_set_tail",
     "covering_count",
 ]
 
@@ -187,14 +185,6 @@ class GraphChannel:
         ]
 
 
-def distance_lower_bound(region, p: complex) -> float:
-    """Scalar certified distance; rejects points outside the region."""
-    arr = np.asarray([p], dtype=complex)
-    if not bool(np.all(region.contains(arr))):
-        raise ValueError(f"point {p} lies outside the region")
-    return float(region.distance_vector(arr)[0])
-
-
 def _iteration_rng(seed: int, iteration: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(iteration,))
     return np.random.Generator(np.random.Philox(ss))
@@ -294,18 +284,6 @@ def wos_harmonic_measures(
 
 def wos_harmonic_measure(region, target, **kwargs) -> HarmonicMeasureEstimate:
     return wos_harmonic_measures(region, [target], **kwargs)[0]
-
-
-def level_set_tail(region: GraphChannel, h: float, **kwargs) -> HarmonicMeasureEstimate:
-    """Harmonic measure of {w on the boundary : e^{-Re w} > 1 - h}.
-
-    This equals the level-set mass m({|phi*| > 1 - h}) of the symbol
-    phi = e^{-f} by conformal invariance, with no construction of f.
-    """
-    if not 0.0 < h <= 0.5:
-        raise ValueError(f"level parameter must lie in (0, 1/2], got {h}")
-    cut = -math.log1p(-h)
-    return wos_harmonic_measure(region, lambda pts: pts.real < cut, **kwargs)
 
 
 def covering_count(region: GraphChannel, w: complex | np.ndarray) -> int | np.ndarray:

@@ -19,7 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .series import MAX_ORDER, default_radius, default_sample_count
+from .series import (
+    MAX_ORDER,
+    default_radius,
+    default_sample_count,
+    extract_coefficients,
+    series_pow,
+)
+from .spectra import SingularSpectrum, classify_series_convergence
 from .symbols import KernelPoint, PolydiskMap, SingularEvaluationError, Symbol
 
 __all__ = [
@@ -155,8 +162,6 @@ def multi_index_oracle(poly: PolydiskMap, degree_cap: int) -> OperatorMatrix:
             f"oracle basis has {side} monomials; cap is {ORACLE_SIZE_CAP}"
         )
     # 1-d coefficient table: powers[j][k] = coefficients of map_j^k, degree <= D
-    from .series import PowerSeries, extract_coefficients, series_pow
-
     powers = []
     for _, spec in poly.coords:
         base = extract_coefficients(spec.evaluate, degree_cap)
@@ -208,8 +213,6 @@ def hs_norm_sq(spec: Symbol, truncation: int) -> HsReport:
     norms = np.empty(truncation)
     for k, col in _grid_power_columns(spec, truncation):
         norms[k] = float(np.sum(np.abs(col) ** 2))
-    from .spectra import classify_series_convergence
-
     verdict = classify_series_convergence(norms)
     trend = {"summable": "converging", "not_summable": "diverging"}.get(verdict, "inconclusive")
     return HsReport(partial=float(norms.sum()), trend=trend, column_norms_sq=norms)
@@ -295,8 +298,6 @@ def kernel_lower_bound(spec: Symbol, nodes):
     truncation equal to the node count and `floor` set to that floor.
     """
     from scipy.linalg import solve_triangular, svdvals
-
-    from .spectra import SingularSpectrum
 
     alpha = np.asarray(nodes, dtype=complex).ravel()
     if alpha.size == 0 or not np.all(np.isfinite(alpha)):

@@ -36,7 +36,6 @@ __all__ = [
     "beta_estimate",
     "decay_fit",
     "linear_fit",
-    "schatten_membership",
     "classify_series_convergence",
 ]
 
@@ -551,16 +550,3 @@ def classify_series_convergence(terms) -> str:
     if q <= 0.85:
         return "not_summable"
     return "inconclusive"
-
-
-def schatten_membership(source, p: float, n_max: int = 1 << 16) -> str:
-    """Dyadic-block test of sum_n s_n^p: summable / not_summable / inconclusive."""
-    if p <= 0:
-        raise ValueError("Schatten exponent must be positive")
-    if isinstance(source, Schedule):
-        n = np.arange(1, n_max + 1, dtype=float)
-        values = np.exp(-n * source.epsilon(n))
-    else:
-        values = _as_array(source)
-    with np.errstate(under="ignore"):
-        return classify_series_convergence(values**p)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import PowerSeries
+from .series import PowerSeries, _circle_nodes
 
 __all__ = [
     "DEFAULT_BOUNDARY_RADIUS",
@@ -35,7 +35,6 @@ __all__ = [
     "PolydiskMap",
     "KernelPoint",
     "boundary_eval",
-    "lens_semigroup_check",
     "blaschke_contraction_ratio",
     "shipped_symbols",
 ]
@@ -302,9 +301,16 @@ class Compose(Symbol):
 
 @dataclass(frozen=True)
 class ExplicitSeries(Symbol):
-    """Symbol given by a truncated Taylor polynomial (caller guarantees self-map)."""
+    """Symbol given by a truncated Taylor polynomial; rejects a polynomial that
+    leaves the closed disk on a fine circle (its maximum modulus lies there)."""
 
     series: PowerSeries
+
+    def __post_init__(self):
+        m = max(1 << 12, 16 * self.series.coeffs.size)
+        top = float(np.max(np.abs(self.series(_circle_nodes(1.0, m)))))
+        if top > 1.0 + 1e-9:
+            raise ValueError(f"polynomial is not a self-map: max |p| = {top:.6g} > 1 on the circle")
 
     def _raw(self, z):
         return self.series(z)
@@ -376,17 +382,6 @@ class KernelPoint:
 def boundary_eval(spec: Symbol, t, r_b: float = DEFAULT_BOUNDARY_RADIUS):
     """Radial-limit proxy phi*(e^{it}) ~ phi(r_b e^{it})."""
     return spec.boundary(t, r_b)
-
-
-def lens_semigroup_check(theta: float, theta_prime: float, grid) -> float:
-    """max_z |lambda_theta(lambda_theta'(z)) - lambda_{theta theta'}(z)| over the grid."""
-    prod = theta * theta_prime
-    if not (0.0 < theta <= 1.0 and 0.0 < theta_prime <= 1.0 and 0.0 < prod <= 1.0):
-        raise ValueError("lens exponents and their product must lie in (0, 1]")
-    grid = np.asarray(grid, dtype=complex)
-    outer, inner, direct = Lens(theta), Lens(theta_prime), Lens(prod)
-    composed = outer.evaluate(inner.evaluate(grid))
-    return float(np.max(np.abs(composed - direct.evaluate(grid))))
 
 
 def blaschke_contraction_ratio(a: float, z: complex) -> float:

@@ -1,4 +1,5 @@
-"""Every exported name resolves, so a deletion cannot leave a stale export."""
+"""Every exported name resolves, so a deletion cannot leave a stale export,
+and every exported name has a caller, so nothing is exported that nothing runs."""
 
 import ast
 import importlib
@@ -6,6 +7,32 @@ import pkgutil
 from pathlib import Path
 
 import compoplab
+
+PACKAGE = Path(compoplab.__file__).parent
+ROOT = PACKAGE.parent.parent
+# Exported only as independent references for the unit tests.
+TEST_ORACLES = {"series_mul"}
+
+
+def _package_imports():
+    tree = ast.parse(Path(compoplab.__file__).read_text())
+    return [
+        (node.module, alias.name)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+
+
+def _used_names(path: Path) -> set:
+    """Every name read or attribute taken in a file (not its definitions or imports)."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    return used
 
 
 def test_every_module_all_resolves():
@@ -18,14 +45,16 @@ def test_every_module_all_resolves():
 
 
 def test_every_package_import_resolves():
-    tree = ast.parse(Path(compoplab.__file__).read_text())
-    imported = [
-        (node.module, alias.name)
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-    ]
+    imported = _package_imports()
     assert imported
     for module, name in imported:
         assert hasattr(importlib.import_module(f"compoplab.{module}"), name), (module, name)
         assert hasattr(compoplab, name), name
+
+
+def test_every_package_export_has_a_caller():
+    sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    sources += [ROOT / "tests" / "test_acceptance.py", *(ROOT / "perfbench").glob("*.py")]
+    used = set().union(*(_used_names(p) for p in sources))
+    uncalled = sorted({name for _, name in _package_imports()} - used - TEST_ORACLES)
+    assert not uncalled, f"exported but never called in src/, acceptance or perfbench/: {uncalled}"

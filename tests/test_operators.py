@@ -25,6 +25,7 @@ from compoplab.symbols import (
     PolydiskMap,
     Rotation,
     ShapiroTaylor,
+    Symbol,
 )
 from compoplab.spectra import linear_fit, singular_values, tensor_merge
 from conftest import strip_lattice
@@ -261,6 +262,18 @@ def test_reweight_matches_direct_build():
 
 
 def test_build_rejects_non_self_map():
-    too_big = ExplicitSeries(PowerSeries([1.2]))
+    class Doubling(Symbol):
+        def _raw(self, z):
+            return 2.0 * z
+
     with pytest.raises(ArithmeticError):
-        build_matrix(too_big, 16)
+        build_matrix(Doubling(), 16)
+
+
+def test_explicit_series_rejects_non_self_map():
+    with pytest.raises(ValueError, match="not a self-map"):
+        ExplicitSeries(PowerSeries([1.2]))
+    with pytest.raises(ValueError, match="not a self-map"):
+        ExplicitSeries(PowerSeries([0.5, 0.6]))
+    # |0.5 + 0.5 z| reaches 1 only at z = 1
+    assert ExplicitSeries(PowerSeries([0.5, 0.5])).evaluate(0.0) == 0.5

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compoplab.series import (
     PowerSeries,
@@ -113,6 +115,30 @@ def test_series_pow_additivity(rng):
         lhs = series_pow(p, j + k, order=10)
         rhs = series_mul(series_pow(p, j, order=10), series_pow(p, k, order=10), order=10)
         assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) < 1e-10
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    parts=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=1, max_size=6),
+    k=st.integers(0, 8),
+    order=st.integers(0, 12),
+)
+def test_series_pow_matches_repeated_convolution(parts, k, order):
+    coeffs = np.array([complex(re, im) for re, im in parts])
+    amp = float(np.sum(np.abs(coeffs)))
+    if amp > 1.5:
+        coeffs *= 1.5 / amp
+    # terms above `order` cannot reach the kept coefficients of p^k
+    base = np.zeros(order + 1, dtype=complex)
+    base[: min(coeffs.size, order + 1)] = coeffs[: order + 1]
+    expected = np.zeros(order + 1, dtype=complex)
+    expected[0] = 1.0
+    for _ in range(k):
+        expected = np.convolve(expected, base)[: order + 1]
+    got = series_pow(PowerSeries(coeffs), k, order=order)
+    assert got.coeffs.shape == (order + 1,)
+    scale = max(float(np.sum(np.abs(coeffs))), 1.0) ** k
+    assert np.max(np.abs(got.coeffs - expected)) <= 1e-12 * scale + got.alias_error
 
 
 def test_shift_contracts_hardy_norm(rng):

@@ -19,7 +19,6 @@ from compoplab.spectra import (
     linear_fit,
     nu_count,
     nu_count_bruteforce,
-    schatten_membership,
     singular_values,
     tensor_lemma_report,
     tensor_merge,
@@ -271,14 +270,17 @@ def test_decay_fit_guards():
 
 
 def test_schatten_membership_classification():
+    # s lies in the Schatten class S_p iff sum s_n^p converges
     n = np.arange(1, (1 << 16) + 1, dtype=float)
     with np.errstate(under="ignore"):
-        assert schatten_membership(np.exp(-np.sqrt(n)), 0.1) == "summable"
-    assert schatten_membership(1.0 / n, 1.0) == "not_summable"
-    assert schatten_membership(1.0 / n**2, 1.0) == "summable"
-    assert schatten_membership(Schedule.epsilon_power(0.5), 0.1) == "summable"
-    with pytest.raises(ValueError):
-        schatten_membership(1.0 / n, 0.0)
+        schedule = np.exp(-n * Schedule.epsilon_power(0.5).epsilon(n))
+        for values, p, verdict in (
+            (np.exp(-np.sqrt(n)), 0.1, "summable"),
+            (schedule, 0.1, "summable"),
+            (1.0 / n, 1.0, "not_summable"),
+            (1.0 / n**2, 1.0, "summable"),
+        ):
+            assert classify_series_convergence(values**p) == verdict
 
 
 def test_classifier_growing_blocks():
