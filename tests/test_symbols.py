@@ -71,6 +71,14 @@ def test_strip_image_matches_the_generic_form_away_from_contact(spec):
     assert np.max(np.abs(spec.strip_image(alpha) - generic)) < 1e-11
 
 
+def test_lens_semigroup_identity_factor():
+    # theta' = 1 is the identity, so the composition reproduces Lens(theta) exactly
+    grid = np.linspace(-0.9, 0.9, 50) + 0.1j
+    composed = np.array([Lens(0.7).evaluate(Lens(1.0).evaluate(z)) for z in grid])
+    direct = np.array([Lens(0.7).evaluate(z) for z in grid])
+    assert np.array_equal(composed, direct)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     theta=st.floats(0.01, 1.0),
