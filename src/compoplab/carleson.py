@@ -10,7 +10,6 @@ deterministic Riemann sum.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,20 +33,11 @@ def default_h_grid() -> np.ndarray:
 
 @dataclass(frozen=True)
 class CarlesonProfile:
-    """Sampled h -> rho(h) together with level-set masses.
-
-    rho_upper is the same maximum taken with windows of size 1.5h; the
-    unobservable true sup over all centers is bracketed between rho_hat
-    and rho_upper.
-    """
+    """Sampled h -> rho(h) together with level-set masses."""
 
     h_grid: np.ndarray
     rho_hat: np.ndarray
     level_hat: np.ndarray
-    samples: int
-    xi_grid_size: int
-    r_b: float
-    rho_upper: np.ndarray | None = None
 
     def __post_init__(self):
         h = np.asarray(self.h_grid, dtype=float)
@@ -68,15 +58,11 @@ class CarlesonProfile:
         object.__setattr__(self, "level_hat", lev)
 
     @classmethod
-    def synthetic(cls, h_grid, rho_fn, level_fn=None) -> "CarlesonProfile":
-        """Profile built from closed-form rho (and optionally level) laws."""
+    def synthetic(cls, h_grid, rho_fn) -> "CarlesonProfile":
+        """Profile built from a closed-form rho law, with zero level masses."""
         h = np.asarray(h_grid, dtype=float)
         rho = np.clip(np.asarray([rho_fn(x) for x in h], dtype=float), 0.0, 1.0)
-        if level_fn is None:
-            lev = np.zeros_like(h)
-        else:
-            lev = np.clip(np.asarray([level_fn(x) for x in h], dtype=float), 0.0, 1.0)
-        return cls(h, rho, lev, samples=0, xi_grid_size=0, r_b=1.0)
+        return cls(h, rho, np.zeros_like(h))
 
 
 def _boundary_values(spec: Symbol, samples: int, r_b: float) -> np.ndarray:
@@ -122,15 +108,11 @@ def rho_profile(
     spec: Symbol,
     h_grid=None,
     samples: int = DEFAULT_SAMPLES,
-    xi_grid_size: int | None = None,
     r_b: float = DEFAULT_BOUNDARY_RADIUS,
-    bracket: bool = True,
 ) -> CarlesonProfile:
     """Estimate rho(h) and the level mass m({|phi*| >= 1-h}) on a grid of h.
 
-    Window centers default to spacing h/4.  A user-pinned xi_grid_size
-    coarser than h triggers a warning because the sup may then be
-    underestimated.
+    Window centers are spaced at most h/4 apart.
     """
     h_grid = default_h_grid() if h_grid is None else np.sort(np.asarray(h_grid, dtype=float))[::-1]
     w = _boundary_values(spec, samples, r_b)
@@ -138,31 +120,12 @@ def rho_profile(
 
     rho = np.empty_like(h_grid)
     lev = np.empty_like(h_grid)
-    upper = np.empty_like(h_grid) if bracket else None
-    max_centers = 0
     for i, h in enumerate(h_grid):
-        if xi_grid_size is None:
-            centers = max(int(np.ceil(8.0 * np.pi / h)), 8)
-        else:
-            centers = int(xi_grid_size)
-            if 2.0 * np.pi / centers > h:
-                warnings.warn(
-                    f"window-center spacing {2 * np.pi / centers:.3g} is coarser than "
-                    f"h={h:.3g}; the sup over centers may be underestimated",
-                    stacklevel=2,
-                )
-        max_centers = max(max_centers, centers)
+        centers = max(int(np.ceil(8.0 * np.pi / h)), 8)
         rho[i] = _max_window_mass(w, h, centers) / samples
-        if bracket:
-            upper[i] = _max_window_mass(w, min(1.5 * h, 2.0), centers) / samples
         lev[i] = (samples - np.searchsorted(moduli_sorted, 1.0 - h, side="left")) / samples
 
     # enforce exact monotonicity against sweep rounding at repeated masses
     rho = np.maximum.accumulate(rho[::-1])[::-1]
     lev = np.maximum.accumulate(lev[::-1])[::-1]
-    if bracket:
-        upper = np.maximum.accumulate(upper[::-1])[::-1]
-        upper = np.maximum(upper, rho)
-    return CarlesonProfile(
-        h_grid, rho, lev, samples=samples, xi_grid_size=max_centers, r_b=r_b, rho_upper=upper
-    )
+    return CarlesonProfile(h_grid, rho, lev)

@@ -51,6 +51,7 @@ from .spectra import (
     upper_bound_weighted,
 )
 from .symbols import (
+    CROSSCHECK_BOUNDARY_RADIUS,
     BlaschkeSquare,
     Cusp,
     KernelPoint,
@@ -161,7 +162,7 @@ def _exp_cusp_diagonal(rec: _Recorder):
     base = build_matrix(Cusp(), truncation).entries
     profile = rho_profile(Cusp(), samples=1 << 18)
     # mandatory boundary-radius cross-check: derived measures must be stable
-    crosscheck = rho_profile(Cusp(), samples=1 << 18, r_b=1 - 1e-6)
+    crosscheck = rho_profile(Cusp(), samples=1 << 18, r_b=CROSSCHECK_BOUNDARY_RADIUS)
     radius_gap = float(
         max(
             np.max(np.abs(profile.rho_hat - crosscheck.rho_hat)),

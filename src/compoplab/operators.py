@@ -196,7 +196,6 @@ class HsReport:
 
     partial: float
     trend: str  # "converging" | "diverging" | "inconclusive"
-    column_norms_sq: np.ndarray
 
 
 def hs_norm_sq(spec: Symbol, truncation: int) -> HsReport:
@@ -215,7 +214,7 @@ def hs_norm_sq(spec: Symbol, truncation: int) -> HsReport:
         norms[k] = float(np.sum(np.abs(col) ** 2))
     verdict = classify_series_convergence(norms)
     trend = {"summable": "converging", "not_summable": "diverging"}.get(verdict, "inconclusive")
-    return HsReport(partial=float(norms.sum()), trend=trend, column_norms_sq=norms)
+    return HsReport(partial=float(norms.sum()), trend=trend)
 
 
 def kernel_ratio(poly: PolydiskMap, point: KernelPoint) -> float:

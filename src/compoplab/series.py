@@ -64,13 +64,6 @@ class PowerSeries:
             out = out * z + c
         return out
 
-    def truncated(self, order: int) -> "PowerSeries":
-        if order >= self.truncation_order:
-            pad = np.zeros(order + 1, dtype=complex)
-            pad[: self.coeffs.size] = self.coeffs
-            return PowerSeries(pad, self.alias_error)
-        return PowerSeries(self.coeffs[: order + 1].copy(), self.alias_error)
-
 
 def _circle_nodes(radius: float, samples: int) -> np.ndarray:
     return radius * np.exp(2j * np.pi * np.arange(samples) / samples)
@@ -148,9 +141,11 @@ def series_pow(p: PowerSeries, k: int, order: int | None = None) -> PowerSeries:
         one[0] = 1.0
         return PowerSeries(one, alias_error=0.0)
 
+    # coefficients above `order` cannot reach the kept coefficients of p^k
+    coeffs = p.coeffs[: order + 1]
     r = default_radius(order)
     m = default_sample_count(order)
-    amp = float(np.sum(np.abs(p.coeffs)))
+    amp = float(np.sum(np.abs(coeffs)))
     if amp == 0.0:
         return PowerSeries(np.zeros(order + 1, dtype=complex), alias_error=0.0)
     log_amp_k = k * math.log(amp) if amp > 0 else -math.inf
@@ -163,7 +158,7 @@ def series_pow(p: PowerSeries, k: int, order: int | None = None) -> PowerSeries:
         )
 
     padded = np.zeros(m, dtype=complex)
-    padded[: p.coeffs.size] = p.coeffs * r ** np.arange(p.coeffs.size)
+    padded[: coeffs.size] = coeffs * r ** np.arange(coeffs.size)
     values = np.fft.ifft(padded) * m
     hats = np.fft.fft(values**k)[: order + 1] / (m * r ** np.arange(order + 1))
 

@@ -88,14 +88,9 @@ class SingularSpectrum:
         """n-th s-number, 1-based."""
         return float(self.values[n - 1])
 
-    @classmethod
-    def from_values(cls, values, semantics: str = "synthetic") -> "SingularSpectrum":
-        values = np.asarray(values, dtype=float)
-        return cls(values, truncation=values.size, semantics=semantics)
 
-
-def singular_values(matrix, n_max: int | None = None) -> SingularSpectrum:
-    """First n_max singular values of a finite section (lower bounds of a_n)."""
+def singular_values(matrix) -> SingularSpectrum:
+    """Singular values of a finite section (lower bounds of a_n)."""
     entries = getattr(matrix, "entries", matrix)
     entries = np.asarray(entries)
     try:
@@ -106,10 +101,6 @@ def singular_values(matrix, n_max: int | None = None) -> SingularSpectrum:
             f"SVD did not converge on a {entries.shape} section "
             f"(finite={finite}, max|entry|={np.max(np.abs(entries)):.3g})"
         ) from exc
-    if n_max is not None:
-        if n_max > s.size:
-            raise ValueError(f"n_max={n_max} exceeds section size {s.size}")
-        s = s[:n_max]
     return SingularSpectrum(s, truncation=entries.shape[0], semantics="lower_bound_of_a_n")
 
 
@@ -222,11 +213,15 @@ def extremal_pair_count(a_exp: float, b_exp: float, n: int) -> int:
     return total
 
 
-def find_M(a_exp: float, b_exp: float, n_max: int = 100) -> int:
-    """Smallest integer M with sum_{l<=n} (n-l+1)^A l^(B-1) <= M n^(A+B) - 1
-    for all n <= n_max.
+# last n at which find_M checks its inequality directly
+_FIND_M_N = 100
 
-    The certificate that M keeps working beyond n_max: the normalized sums
+
+def find_M(a_exp: float, b_exp: float) -> int:
+    """Smallest integer M with sum_{l<=n} (n-l+1)^A l^(B-1) <= M n^(A+B) - 1
+    for all n <= 100.
+
+    The certificate that M keeps working beyond n = 100: the normalized sums
     T(n)/n^(A+B) converge to the Riemann-sum limit Beta(A+1, B) and their
     tail is already below M - 1/n^(A+B).
     """
@@ -234,17 +229,17 @@ def find_M(a_exp: float, b_exp: float, n_max: int = 100) -> int:
         raise ValueError("exponents must be positive")
     best = 1
     tail_ratios = []
-    for n in range(1, n_max + 1):
+    for n in range(1, _FIND_M_N + 1):
         l = np.arange(1, n + 1, dtype=float)
         total = float(np.sum((n - l + 1.0) ** a_exp * l ** (b_exp - 1.0)))
         ratio = (total + 1.0) / float(n) ** (a_exp + b_exp)
         best = max(best, math.ceil(ratio - 1e-12))
-        if n > n_max - 10:
+        if n > _FIND_M_N - 10:
             tail_ratios.append(ratio)
     limit = float(beta_integral(a_exp + 1.0, b_exp))
     if best <= limit or max(tail_ratios) > best:
         raise ArithmeticError(
-            f"cannot certify M={best} beyond n_max={n_max}: Riemann limit {limit:.4g}"
+            f"cannot certify M={best} beyond n={_FIND_M_N}: Riemann limit {limit:.4g}"
         )
     return best
 
@@ -259,7 +254,6 @@ class TensorLemmaReport:
 
     a_exp: float
     b_exp: float
-    c: float
     m_const: int
     n_max: int
     nu: np.ndarray
@@ -270,16 +264,14 @@ class TensorLemmaReport:
         return bool(np.all(self.nu <= self.rank_budget - 1))
 
 
-def tensor_lemma_report(
-    a_exp: float, b_exp: float, c: float = 1.0, n_max: int = 30
-) -> TensorLemmaReport:
+def tensor_lemma_report(a_exp: float, b_exp: float, n_max: int = 30) -> TensorLemmaReport:
     m_const = find_M(a_exp, b_exp)
     nu = np.empty(n_max, dtype=int)
     budget = np.empty(n_max, dtype=int)
     for n in range(1, n_max + 1):
         nu[n - 1] = extremal_pair_count(a_exp, b_exp, n)
         budget[n - 1] = m_const * int(float(n) ** (a_exp + b_exp))
-    return TensorLemmaReport(a_exp, b_exp, c, m_const, n_max, nu, budget)
+    return TensorLemmaReport(a_exp, b_exp, m_const, n_max, nu, budget)
 
 
 @dataclass(frozen=True)
@@ -289,7 +281,6 @@ class Schedule:
 
     kind: str  # "epsilon_n" | "delta_h"
     fn: Callable
-    label: str = ""
 
     def __post_init__(self):
         if self.kind == "epsilon_n":
@@ -320,7 +311,7 @@ class Schedule:
         """eps_n = n^-beta."""
         if beta <= 0:
             raise ValueError("power must be positive")
-        return cls("epsilon_n", lambda n: n ** (-beta), label=f"n^-{beta:g}")
+        return cls("epsilon_n", lambda n: n ** (-beta))
 
     @classmethod
     def epsilon_tensor(cls, dimension: int) -> "Schedule":
@@ -352,7 +343,7 @@ class Schedule:
             idx = np.clip(idx, 1, thresholds.size)
             return levels_rev[idx - 1]
 
-        return cls("delta_h", fn, label=f"step from {eps.label}")
+        return cls("delta_h", fn)
 
 
 def _profile_arrays(profile):
@@ -361,19 +352,13 @@ def _profile_arrays(profile):
     return h, rho
 
 
-def upper_bound_plain(source, n: int) -> float:
+def upper_bound_plain(profile, n: int) -> float:
     """min over the h grid of e^{-nh} + sqrt(rho(h)/h), up to an absolute
-    constant.  Accepts a CarlesonProfile or a delta schedule (for which
-    rho(h) = h delta(h)^2, i.e. the second term IS delta(h))."""
-    if isinstance(source, Schedule):
-        h = np.geomspace(1e-4, 0.99, 400)
-        second = source.delta(h)
-    else:
-        h, rho = _profile_arrays(source)
-        if h.size == 0:
-            raise ValueError("empty profile grid")
-        second = np.sqrt(rho / h)
-    return float(np.min(np.exp(-float(n) * h) + second))
+    constant."""
+    h, rho = _profile_arrays(profile)
+    if h.size == 0:
+        raise ValueError("empty profile grid")
+    return float(np.min(np.exp(-float(n) * h) + np.sqrt(rho / h)))
 
 
 def upper_bound_weighted(profile, n: int, gamma: float) -> float:

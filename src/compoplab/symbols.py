@@ -168,16 +168,6 @@ class Lens(Symbol):
         b = _principal_power(1.0 - z, self.theta)
         return (a - b) / (a + b)
 
-    def one_minus(self, z):
-        """1 - lambda_theta(z) = 2(1-z)^theta / ((1+z)^theta + (1-z)^theta).
-
-        Cancellation-free form for points near the fixed point z = 1.
-        """
-        arr = np.asarray(z, dtype=complex)
-        a = _principal_power(1.0 + arr, self.theta)
-        b = _principal_power(1.0 - arr, self.theta)
-        return 2.0 * b / (a + b)
-
     def strip_image(self, alpha):
         """Exactly theta * alpha: ((1+z)/(1-z))^theta = e^(theta alpha)."""
         return self.theta * np.asarray(alpha, dtype=complex)
@@ -202,17 +192,9 @@ class Cusp(Symbol):
         if not self.b > 0.0:
             raise ValueError(f"cusp parameter must be positive, got {self.b}")
 
-    def _w(self, z):
-        return -_principal_log((1.0 - z) / 4.0)
-
     def _raw(self, z):
-        w = self._w(z)
+        w = -_principal_log((1.0 - z) / 4.0)
         return (w - self.b) / (w + self.b)
-
-    def one_minus(self, z):
-        """1 - chi(z) = 2b/(w + b), stable near z = 1."""
-        arr = np.asarray(z, dtype=complex)
-        return 2.0 * self.b / (self._w(arr) + self.b)
 
 
 @dataclass(frozen=True)
@@ -345,11 +327,6 @@ class PolydiskMap:
     @classmethod
     def diagonal(cls, spec: Symbol, dimension: int) -> "PolydiskMap":
         return cls(dimension, tuple((1, spec) for _ in range(dimension)))
-
-    @property
-    def is_diagonal(self) -> bool:
-        first = self.coords[0]
-        return all(c == first for c in self.coords)
 
     def evaluate(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=complex)

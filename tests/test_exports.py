@@ -1,5 +1,6 @@
 """Every exported name resolves, so a deletion cannot leave a stale export,
-and every exported name has a caller, so nothing is exported that nothing runs."""
+and every exported name or public class member has a caller, so nothing is
+exported or defined that nothing runs."""
 
 import ast
 import importlib
@@ -52,9 +53,32 @@ def test_every_package_import_resolves():
         assert hasattr(compoplab, name), name
 
 
-def test_every_package_export_has_a_caller():
+def _caller_sources():
     sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
-    sources += [ROOT / "tests" / "test_acceptance.py", *(ROOT / "perfbench").glob("*.py")]
-    used = set().union(*(_used_names(p) for p in sources))
+    return sources + [ROOT / "tests" / "test_acceptance.py", *(ROOT / "perfbench").glob("*.py")]
+
+
+def _public_members(path: Path) -> set:
+    """(class, name) of every public method or property a file's classes define."""
+    return {
+        (cls.name, node.name)
+        for cls in ast.walk(ast.parse(path.read_text()))
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+    }
+
+
+def test_every_package_export_has_a_caller():
+    used = set().union(*(_used_names(p) for p in _caller_sources()))
     uncalled = sorted({name for _, name in _package_imports()} - used - TEST_ORACLES)
     assert not uncalled, f"exported but never called in src/, acceptance or perfbench/: {uncalled}"
+
+
+def test_every_public_class_member_has_a_caller():
+    members = set().union(*(_public_members(p) for p in PACKAGE.glob("*.py")))
+    assert members
+    used = set().union(*(_used_names(p) for p in _caller_sources()))
+    uncalled = sorted(f"{cls}.{name}" for cls, name in members if name not in used)
+    assert not uncalled, f"defined but never used in src/, acceptance or perfbench/: {uncalled}"

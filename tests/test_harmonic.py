@@ -138,11 +138,13 @@ def test_level_set_tail_contract(channel):
         cut = -math.log1p(-h)
         return wos_harmonic_measure(channel, lambda p: p.real < cut, samples=2 * 10**4, seed=31)
 
-    assert 0.0 <= level(0.5).probability <= 1.0
-    small, smaller = level(0.05), level(0.025)
-    assert small.probability >= smaller.probability - 2.0 * (
-        small.ci_halfwidth + smaller.ci_halfwidth
-    )
+    # one seed scores every target on the same walks, so nested level sets
+    # give exactly non-increasing hit counts
+    estimates = [level(h) for h in (0.9, 0.75, 0.5)]
+    assert len({e.samples for e in estimates}) == 1
+    hits = [round(e.probability * e.samples) for e in estimates]
+    assert hits == sorted(hits, reverse=True), hits
+    assert hits[-1] > 0, hits
 
 
 def test_wos_deterministic_given_seed(channel):

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -94,6 +92,9 @@ def test_series_pow_monomials():
 def test_series_pow_hand_convolution():
     p = series_pow(PowerSeries([0, 1, 1]), 2, order=4)
     assert np.max(np.abs(p.coeffs - np.array([0, 0, 1, 2, 1]))) < 1e-10
+    # 10 coefficients exceed the 8-point grid of order 0
+    p = series_pow(PowerSeries(np.full(10, 0.05)), 2, order=0)
+    assert np.max(np.abs(p.coeffs - np.array([0.0025]))) < 1e-15
 
 
 def test_series_pow_zero_exponent_and_errors():
@@ -119,7 +120,7 @@ def test_series_pow_additivity(rng):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    parts=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=1, max_size=6),
+    parts=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=1, max_size=20),
     k=st.integers(0, 8),
     order=st.integers(0, 12),
 )

@@ -6,7 +6,6 @@ import pytest
 import compoplab as C
 from compoplab.carleson import CarlesonProfile
 from compoplab.operators import build_matrix
-from compoplab.series import PowerSeries
 from compoplab.spectra import (
     Schedule,
     SingularSpectrum,
@@ -25,7 +24,7 @@ from compoplab.spectra import (
     upper_bound_plain,
     upper_bound_weighted,
 )
-from compoplab.symbols import ExplicitSeries, Lens, Rotation, Scalar
+from compoplab.symbols import Lens, Scalar
 
 
 def test_singular_values_of_geometric_diagonal():
@@ -319,21 +318,6 @@ def test_svd_error_diagnostics():
     bad = np.full((4, 4), np.nan)
     with pytest.raises((C.spectra.SvdError, ValueError)):
         singular_values(bad)
-
-
-def test_singular_values_respects_n_max():
-    m = np.diag([4.0, 3.0, 2.0, 1.0])
-    s = singular_values(m, n_max=2)
-    assert np.allclose(s.values, [4.0, 3.0])
-    with pytest.raises(ValueError):
-        singular_values(m, n_max=9)
-
-
-def test_upper_bound_plain_accepts_delta_schedule():
-    eps = Schedule.epsilon_power(0.5)
-    delta = Schedule.delta_from_epsilon(eps, n_max=1 << 12)
-    value = upper_bound_plain(delta, 100)
-    assert 0.0 < value < 1.0
 
 
 def test_linear_fit_line_constant_and_noise(rng):
