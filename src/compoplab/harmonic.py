@@ -44,7 +44,6 @@ class HarmonicMeasureEstimate:
     probability: float
     ci_halfwidth: float
     samples: int
-    eps_absorb: float
     seed: int
     n_far_field: int = 0
     n_step_capped: int = 0
@@ -273,7 +272,6 @@ def wos_harmonic_measures(
                 probability=min(max(prob, 0.0), 1.0),
                 ci_halfwidth=ci,
                 samples=completed,
-                eps_absorb=eps_absorb,
                 seed=seed,
                 n_far_field=n_far,
                 n_step_capped=n_capped,

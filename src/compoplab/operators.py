@@ -8,6 +8,8 @@ multiplicity weight sqrt(C(k+N-1, N-1)); see `build_matrix`.
 Sections are lower bounds of the approximation numbers that converge
 slowly for boundary-touching symbols; `kernel_lower_bound` gives lower
 bounds from reproducing kernels instead, which reach the contact points.
+Their Gram matrices are scaled Cauchy matrices in strip coordinates, so
+they are factored exactly, from products alone (`_cauchy_factor`).
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ class OperatorMatrix:
     """Finite section of a composition operator in orthonormal bases."""
 
     entries: np.ndarray
-    symbol: object
     truncation: int
 
     def __post_init__(self):
@@ -128,8 +129,7 @@ def build_matrix(spec: Symbol, truncation: int, dimension: int = 1) -> OperatorM
     entries = np.empty((truncation, truncation), dtype=complex)
     for k, col in _grid_power_columns(spec, truncation):
         entries[:, k] = col * weights[k]
-    symbol = spec if dimension == 1 else PolydiskMap.diagonal(spec, dimension)
-    return OperatorMatrix(entries, symbol=symbol, truncation=truncation)
+    return OperatorMatrix(entries, truncation=truncation)
 
 
 def multi_indices(dimension: int, degree_cap: int):
@@ -187,7 +187,7 @@ def multi_index_oracle(poly: PolydiskMap, degree_cap: int) -> OperatorMatrix:
                 factor[0] = 1.0
             column = column * factor[beta_mat[:, src - 1]]
         entries[:, col] = column
-    return OperatorMatrix(entries, symbol=poly, truncation=degree_cap)
+    return OperatorMatrix(entries, truncation=degree_cap)
 
 
 @dataclass(frozen=True)
@@ -238,38 +238,48 @@ def kernel_ratio(poly: PolydiskMap, point: KernelPoint) -> float:
     return math.exp(0.5 * (log_num - log_den))
 
 
-# Trapezoid step of kernel_lower_bound: half the distance d from the nodes
-# and their images to the boundary lines (aliasing error ~ e^(-2 pi d/step)
-# = e^(-4 pi)), and at most 0.15, which resolves the unit-scale kernels
-# themselves (for the lens, step 0.1 moves s_1..s_300 by < 1e-5; 0.3 moves
-# s_300 by 20%).
-KERNEL_STEP_CAP = 0.15
-# Kernel samples decay like e^(-|x - Re alpha|/2): a margin of 60 beyond the
-# outermost node or image leaves e^(-30) of each sample.
-KERNEL_MARGIN = 60.0
+def _log_cosh(z: np.ndarray) -> np.ndarray:
+    """log cosh z without overflow, for |Im z| < pi/2."""
+    w = np.where(z.real < 0.0, -z, z)
+    return w + np.log1p(np.exp(-2.0 * w)) - math.log(2.0)
 
 
-def _kernel_r(zeta: np.ndarray, points: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """R factor of the tall matrix scale_j / cosh((zeta_t - conj(p_j))/2).
+def _cauchy_factor(alpha: np.ndarray):
+    """R with R^H R = C, C_ij = sqrt(cos y_i cos y_j) / cosh((alpha_i - conj(alpha_j))/2).
 
-    Rows are generated and folded into R one block at a time (LAPACK
-    tpqrt on [R; block]), so memory stays O(n^2) for any number of rows
-    and the flop count is that of a single QR.
+    Diagonally pivoted LDL^H of the scaled Cauchy matrix C (y = Im alpha),
+    built from products alone (Demmel, SIAM J. Matrix Anal. Appl. 21,
+    1999).  C_ij = g_i conj(g_j) / cosh((alpha_i - conj(alpha_j))/2) with
+    g = sqrt(cos y); eliminating pivot p leaves the same form with g_i
+    multiplied by sinh((alpha_i - alpha_p)/2) / cosh((alpha_i - conj(alpha_p))/2)
+    (up to a unit factor common to all i), and row p of R = D^(1/2) L^H is
+    sqrt(cos y_p) (g_p/|g_p|) conj(g_i) / cosh((alpha_p - conj(alpha_i))/2).
+    Each pivot is the largest diagonal entry |g_i|^2 / cos y_i left.  The
+    generators shrink at every elimination and underflow in linear scale
+    (clustered images do), so they are kept as log-modulus and phase.
+    Rows of R follow the pivot order and columns the node order; `order`
+    lists the pivots, so R[:, order] is upper triangular.
     """
-    from scipy.linalg.lapack import ztpqrt
-
-    n = points.size
-    r = np.zeros((n, n), dtype=complex, order="F")
-    shift = -np.conj(points) / 2.0
-    for start in range(0, zeta.size, n):
-        # built transposed so the block is Fortran-ordered for LAPACK
-        block = np.add.outer(shift, zeta[start : start + n] / 2.0).T
-        np.cosh(block, out=block)
-        np.divide(scale, block, out=block)
-        r, _, _, info = ztpqrt(0, min(n, 32), r, block, overwrite_a=1, overwrite_b=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"tpqrt failed with info={info}")
-    return np.triu(r)
+    n = alpha.size
+    order = np.arange(n)
+    a = alpha.copy()
+    log_cos = np.log(np.cos(a.imag))
+    log_g = 0.5 * log_cos
+    phase = np.zeros(n)
+    r = np.zeros((n, n), dtype=complex)
+    # coinciding images give a generator of modulus exactly 0 (log -inf)
+    with np.errstate(divide="ignore"):
+        for k in range(n):
+            p = k + int(np.argmax(2.0 * log_g[k:] - log_cos[k:]))
+            for arr in (order, a, log_cos, log_g, phase):
+                arr[k], arr[p] = arr[p], arr[k]
+            c = np.cosh((a[k] - np.conj(a[k:])) / 2.0)
+            log_row = 0.5 * log_cos[k] + log_g[k:] + 1j * (phase[k] - phase[k:])
+            r[k, order[k:]] = np.exp(log_row) / c
+            ratio = np.sinh((a[k + 1 :] - a[k]) / 2.0) / np.conj(c[1:])
+            log_g[k + 1 :] += np.log(np.abs(ratio))
+            phase[k + 1 :] = np.remainder(phase[k + 1 :] + np.angle(ratio), 2.0 * math.pi)
+    return r, order
 
 
 def kernel_lower_bound(spec: Symbol, nodes):
@@ -285,13 +295,17 @@ def kernel_lower_bound(spec: Symbol, nodes):
     a_n.  The image nodes beta_j = alpha(phi(a_j)) come from
     `spec.strip_image`.
 
-    Both factors are sampled by the trapezoid rule on the boundary lines
-    zeta = x +- i pi/2, where the H^2 measure is dx / (2 pi cosh x) and
-    1 - conj(a) z = cosh((zeta - conj(alpha))/2) / (cosh(conj(alpha)/2) cosh(zeta/2))
-    has no cancellation: U holds the k_a_j, V their images.  With U = QR
-    the values are svd(V R^-1), reduced block by block; no Gram matrix is
-    formed, so values down to the float floor eps * cond(R) * s_1 are
-    resolved.  Values at or below that floor are dropped.
+    In strip coordinates 1 - conj(a_j) a_i =
+    cosh((alpha_i - conj(alpha_j))/2) / (cosh(conj(alpha_j)/2) cosh(alpha_i/2)),
+    so the Gram matrices of the k_a_j and of their images are
+    G_U = W C_alpha W^H and G_V = W T C_beta T^H W^H, with the scaled
+    Cauchy matrices of `_cauchy_factor`, W the unit phases of
+    cosh(alpha/2), and T = diag(sqrt(cos Im alpha / cos Im beta)
+    cosh(beta/2) / cosh(alpha/2)).  With C_alpha = R_u^H R_u and
+    C_beta = R_v^H R_v the values are svd(R_v T^H R_u^-1); R_u is the R
+    factor of the kernel vectors up to a unitary factor, so values down to
+    the float floor eps * cond(R_u) * s_1 are resolved.  Values at or
+    below that floor are dropped.
 
     Returns a SingularSpectrum with semantics "lower_bound_of_a_n",
     truncation equal to the node count and `floor` set to that floor.
@@ -303,38 +317,26 @@ def kernel_lower_bound(spec: Symbol, nodes):
         raise ValueError("nodes must be a non-empty array of finite strip coordinates")
     if np.any(np.abs(alpha.imag) >= math.pi / 2):
         raise ValueError("nodes must lie in the open strip |Im alpha| < pi/2")
+    if np.unique(alpha).size < alpha.size:
+        raise ValueError("nodes must be distinct")
     beta = np.asarray(spec.strip_image(alpha), dtype=complex)
     if not np.all(np.isfinite(beta)) or np.any(np.abs(beta.imag) >= math.pi / 2):
         raise SingularEvaluationError("the image of a node left the open strip")
+    if max(np.ptp(alpha.real), np.ptp(beta.real)) > 1400.0:
+        # cosh and sinh of half a difference overflow float64 past 710
+        raise ValueError("nodes and their images must each span at most 1400 in Re")
 
-    gap = math.pi / 2 - max(np.max(np.abs(alpha.imag)), np.max(np.abs(beta.imag)))
-    step = min(KERNEL_STEP_CAP, gap / 2.0)
-    lo = min(alpha.real.min(), beta.real.min()) - KERNEL_MARGIN
-    hi = max(alpha.real.max(), beta.real.max()) + KERNEL_MARGIN
-    if max(-lo, hi) > 700.0:
-        # keeps every cosh argument below its float64 overflow at 710
-        raise ValueError("nodes and their images must satisfy |Re alpha| <= 640")
-    x = lo + step * np.arange(int(math.ceil((hi - lo) / step)) + 1)
-    zeta = np.concatenate([x + 0.5j * math.pi, x - 0.5j * math.pi])
-    if zeta.size < alpha.size:
-        raise ValueError("more nodes than quadrature rows")
-
-    # Sampled k_a and sqrt(1-|a|^2) K_phi(a) carry, in row t, the factor
-    # sqrt(step / (2 pi cosh x_t)) cosh(zeta_t/2) of constant modulus
-    # sqrt(step / (4 pi)), and in column j the unit phase
-    # cosh(conj(alpha_j)/2) / |cosh(alpha_j/2)|, in U and V alike.  Dropping
-    # both phases leaves svd(V R^-1) unchanged and leaves, with
-    # w_j = sqrt(step / (4 pi)) sqrt(cos Im alpha_j):
-    #   U_tj = w_j / cosh((zeta_t - conj(alpha_j))/2)
-    #   V_tj = w_j cosh(conj(beta_j)/2) / cosh(conj(alpha_j)/2) / cosh((zeta_t - conj(beta_j))/2)
-    weight = math.sqrt(step / (4.0 * math.pi)) * np.sqrt(np.cos(alpha.imag))
-    r_u = _kernel_r(zeta, alpha, weight)
-    v_factor = np.cosh(np.conj(beta) / 2.0) / np.cosh(np.conj(alpha) / 2.0)
-    r_v = _kernel_r(zeta, beta, weight * v_factor)
-    # V R_u^-1 = Q_v R_v R_u^-1; its transpose comes out of one triangular solve
-    compressed = solve_triangular(r_u, r_v.T, trans="T", overwrite_b=True, check_finite=False)
+    log_t = 0.5 * (np.log(np.cos(alpha.imag)) - np.log(np.cos(beta.imag)))
+    t_conj = np.conj(np.exp(log_t + _log_cosh(beta / 2.0) - _log_cosh(alpha / 2.0)))
+    r_u, order = _cauchy_factor(alpha)
+    for row in r_u:  # columns into pivot order: upper triangular, in place
+        row[:] = row[order]
+    r_v, _ = _cauchy_factor(beta[order])
+    r_v *= t_conj[order]
+    # (R_v T^H R_u^-1)^T from one triangular solve on Fortran-ordered views
+    compressed = solve_triangular(r_u.T, r_v.T, lower=True, overwrite_b=True, check_finite=False)
     values = svdvals(compressed, overwrite_a=True, check_finite=False)
-    cond = svdvals(r_u, overwrite_a=True, check_finite=False)
+    cond = svdvals(r_u.T, overwrite_a=True, check_finite=False)
     floor = float(np.finfo(float).eps * cond[0] / cond[-1] * values[0])
     kept = values[values > floor]
     if kept.size == 0:

@@ -248,14 +248,11 @@ def find_M(a_exp: float, b_exp: float) -> int:
 class TensorLemmaReport:
     """Merged-rank bound check on extremal sequences.
 
-    For each n <= n_max the pair count nu_n must stay below M*floor(n^(A+B)),
+    For each n = 1..len(nu) the pair count nu_n must stay below M*floor(n^(A+B)),
     which is equivalent to merged[M*floor(n^(A+B))] <= e^{-cn}.
     """
 
-    a_exp: float
-    b_exp: float
     m_const: int
-    n_max: int
     nu: np.ndarray
     rank_budget: np.ndarray
 
@@ -271,7 +268,7 @@ def tensor_lemma_report(a_exp: float, b_exp: float, n_max: int = 30) -> TensorLe
     for n in range(1, n_max + 1):
         nu[n - 1] = extremal_pair_count(a_exp, b_exp, n)
         budget[n - 1] = m_const * int(float(n) ** (a_exp + b_exp))
-    return TensorLemmaReport(a_exp, b_exp, m_const, n_max, nu, budget)
+    return TensorLemmaReport(m_const, nu, budget)
 
 
 @dataclass(frozen=True)
@@ -380,13 +377,13 @@ def upper_bound_weighted(profile, n: int, gamma: float) -> float:
 
 @dataclass(frozen=True)
 class BetaEstimate:
-    """Window statistics of s_n^(1/n^(1/N)) (proxies for liminf/limsup)."""
+    """Window statistics of s_n^(1/n^(1/N)) (proxies for liminf/limsup);
+    both are 0.0 when the window holds a zero value."""
 
     dimension: int
     beta_minus_hat: float
     beta_plus_hat: float
     window: tuple
-    degenerate: bool = False
 
 
 def beta_estimate(spectrum, dimension: int, window: tuple | None = None) -> BetaEstimate:
@@ -398,7 +395,7 @@ def beta_estimate(spectrum, dimension: int, window: tuple | None = None) -> Beta
         raise ValueError(f"window {window} outside available indices 1..{values.size}")
     vals = values[lo - 1 : hi]
     if np.any(vals <= 0.0):
-        return BetaEstimate(dimension, 0.0, 0.0, (lo, hi), degenerate=True)
+        return BetaEstimate(dimension, 0.0, 0.0, (lo, hi))
     n = np.arange(lo, hi + 1, dtype=float)
     stats = vals ** (1.0 / n ** (1.0 / dimension))
     return BetaEstimate(
@@ -418,7 +415,6 @@ class DecayFit:
     {log_amplitude, rate}.
     """
 
-    model: str
     params: dict
     r_squared: float
     fit_range: tuple
@@ -465,10 +461,10 @@ def decay_fit(spectrum, model: str, fit_range: tuple) -> DecayFit:
 
     if model == "poly":
         slope, intercept, r2 = linear_fit(np.log(n), logs)
-        return DecayFit(model, {"log_amplitude": intercept, "power": -slope}, r2, (lo, hi))
+        return DecayFit({"log_amplitude": intercept, "power": -slope}, r2, (lo, hi))
     if model == "exp_linear":
         slope, intercept, r2 = linear_fit(n, logs)
-        return DecayFit(model, {"log_amplitude": intercept, "rate": -slope}, r2, (lo, hi))
+        return DecayFit({"log_amplitude": intercept, "rate": -slope}, r2, (lo, hi))
     if model != "stretched_exp":
         raise ValueError(f"unknown decay model {model!r}")
 
@@ -496,7 +492,6 @@ def decay_fit(spectrum, model: str, fit_range: tuple) -> DecayFit:
     alpha = 0.5 * (a + b)
     slope, intercept, r2 = _stretched_r2(n, logs, alpha)
     return DecayFit(
-        "stretched_exp",
         {"log_amplitude": intercept, "rate": -slope, "exponent": float(alpha)},
         r2,
         (lo, hi),

@@ -1,6 +1,7 @@
 """Every exported name resolves, so a deletion cannot leave a stale export,
-and every exported name or public class member has a caller, so nothing is
-exported or defined that nothing runs."""
+every exported name or public class member has a caller, and every
+dataclass field is read, so nothing is exported, defined or stored that
+nothing runs."""
 
 import ast
 import importlib
@@ -82,3 +83,39 @@ def test_every_public_class_member_has_a_caller():
     used = set().union(*(_used_names(p) for p in _caller_sources()))
     uncalled = sorted(f"{cls}.{name}" for cls, name in members if name not in used)
     assert not uncalled, f"defined but never used in src/, acceptance or perfbench/: {uncalled}"
+
+
+def _dataclass_fields(path: Path) -> set:
+    """(class, field) of every annotated field of a file's dataclasses, except
+    in a module that calls `asdict`: those are written out whole (the run
+    manifest), so every field is read."""
+    tree = ast.parse(path.read_text())
+    if any(isinstance(node, ast.Name) and node.id == "asdict" for node in ast.walk(tree)):
+        return set()
+    return {
+        (cls.name, node.target.id)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        and any(
+            getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+            for d in cls.decorator_list
+        )
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+    }
+
+
+def _attribute_loads(path: Path) -> set:
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_dataclass_field_is_read():
+    fields = set().union(*(_dataclass_fields(p) for p in PACKAGE.glob("*.py")))
+    assert fields
+    read = set().union(*(_attribute_loads(p) for p in _caller_sources()))
+    unread = sorted(f"{cls}.{name}" for cls, name in fields if name not in read)
+    assert not unread, f"dataclass fields never read in src/, acceptance or perfbench/: {unread}"

@@ -200,9 +200,9 @@ def test_covering_count_random_sweep(channel, rng):
 
 def test_estimate_validation():
     with pytest.raises(ValueError):
-        HarmonicMeasureEstimate(1.5, 0.0, 10, 1e-6, 0)
+        HarmonicMeasureEstimate(1.5, 0.0, 10, 0)
     with pytest.raises(ValueError):
-        HarmonicMeasureEstimate(0.5, -0.1, 10, 1e-6, 0)
+        HarmonicMeasureEstimate(0.5, -0.1, 10, 0)
     with pytest.raises(ValueError):
         wos_harmonic_measure(DiskRegion(), lambda p: p.real > 0, samples=0)
     with pytest.raises(ValueError):

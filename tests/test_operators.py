@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 import compoplab as C
 from compoplab.operators import (
@@ -57,7 +58,6 @@ def test_diagonal_polydisk_dimension_one_is_plain_matrix():
     a = build_matrix(Lens(0.25), 32)
     b = build_matrix(Lens(0.25), 32, dimension=1)
     assert np.array_equal(a.entries, b.entries)
-    assert isinstance(b.symbol, Lens)
     with pytest.raises(ValueError):
         build_matrix(Lens(0.25), 32, dimension=0)
 
@@ -177,7 +177,7 @@ DILATION_EXACT = 0.8 ** np.arange(200)  # a_n = 0.8^(n-1): C_phi z^k = 0.8^k z^k
 def test_kernel_lower_bound_matches_the_dilation():
     # 48 kernels on |a| = 0.9 span {sum_k 0.9^k d_(k mod 48) z^k}, on which
     # the values are 0.8^l (1 - O(0.9^96)); their strip nodes reach
-    # Im alpha = 1.48, which forces a fine quadrature step
+    # Im alpha = 1.48
     nodes = 2.0 * np.arctanh(0.9 * np.exp(2j * np.pi * (np.arange(48) + 0.5) / 48))
     bound = kernel_lower_bound(DILATION, nodes)
     exact = DILATION_EXACT[: len(bound)]
@@ -188,8 +188,8 @@ def test_kernel_lower_bound_matches_the_dilation():
 
 
 def test_kernel_lower_bound_floor_cuts_an_over_dense_lattice():
-    # cond(R) ~ 1e15 here; uncut, 36 values exceed the exact ones by more
-    # than 1%.  The kept ones carry rounding below the floor (~1e-3 relative)
+    # cond(R) ~ 1e15 here, so only the leading values clear the floor; they
+    # carry rounding near 1e-3 relative
     bound = kernel_lower_bound(DILATION, strip_lattice(-6.0, 6.0, 0.35, (0.0, 0.4, -0.4)))
     assert 0 < len(bound) < bound.truncation
     assert np.all(bound.values > bound.floor)
@@ -204,13 +204,60 @@ def test_kernel_lower_bound_lens_norm_and_second_value():
     assert bound.a(2) == pytest.approx(section.a(2), rel=1e-5)
 
 
+def _reference_values(alpha, beta, count):
+    """Top `count` values of the kernel bound from the Gram matrices in
+    40-digit arithmetic: G_U = C_alpha and G_V = T C_beta T^H (the unit
+    phases cancel); the values are the square roots of the eigenvalues of
+    L^-1 G_V L^-H with G_U = L L^H."""
+    with mp.workdps(40):
+        a = [mp.mpc(complex(x)) for x in alpha]
+        b = [mp.mpc(complex(x)) for x in beta]
+
+        def cauchy(z):
+            scale = [mp.sqrt(mp.cos(p.imag)) for p in z]
+            return mp.matrix(
+                [
+                    [si * sj / mp.cosh((p - mp.conj(q)) / 2) for q, sj in zip(z, scale)]
+                    for p, si in zip(z, scale)
+                ]
+            )
+
+        t = mp.diag(
+            [
+                mp.sqrt(mp.cos(x.imag) / mp.cos(y.imag)) * mp.cosh(y / 2) / mp.cosh(x / 2)
+                for x, y in zip(a, b)
+            ]
+        )
+        l_inv = mp.inverse(mp.cholesky(cauchy(a)))
+        squares = mp.eighe(l_inv * t * cauchy(b) * t.H * l_inv.H, eigvals_only=True)
+        return np.sqrt(sorted((float(v) for v in squares), reverse=True)[:count])
+
+
+@pytest.mark.parametrize(
+    "spec, nodes",
+    [
+        (Lens(0.5), strip_lattice(-6.0, 6.0, 1.0, (0.0, 0.9, -0.9))),
+        (ShapiroTaylor(2.0), strip_lattice(-6.0, 20.0, 2.0, (0.3, -0.3))),
+    ],
+    ids=["lens", "shapiro-taylor"],
+)
+def test_kernel_lower_bound_matches_a_40_digit_gram_reference(spec, nodes):
+    # the strip images are taken as exact; the smallest kept values are
+    # 1.5e-6 (lens) and 6.4e-14 (Shapiro-Taylor)
+    bound = kernel_lower_bound(spec, nodes)
+    reference = _reference_values(nodes, spec.strip_image(nodes), len(bound))
+    assert np.max(np.abs(bound.values / reference - 1.0)) <= 1e-8
+
+
 def test_kernel_lower_bound_rejects_bad_nodes():
     with pytest.raises(ValueError):
         kernel_lower_bound(Lens(0.5), np.array([0.0, 1.0 + 1.6j]))
     with pytest.raises(ValueError):
         kernel_lower_bound(Lens(0.5), np.array([], dtype=complex))
     with pytest.raises(ValueError):
-        kernel_lower_bound(Lens(0.5), np.array([0.0, 700.0]))
+        kernel_lower_bound(Lens(0.5), np.array([0.0, 0.5, 0.5, 1.0]))
+    with pytest.raises(ValueError):  # cosh of half the Re spread would reach 710
+        kernel_lower_bound(Lens(0.5), np.array([0.0, 1420.0]))
 
 
 def test_witness_exact_values():
@@ -258,7 +305,6 @@ def test_reweight_matches_direct_build():
         for dim in (2, 3, 5):
             direct = build_matrix(spec, 48, dim)
             assert np.array_equal(direct.entries, base * multiplicity_weights(48, dim))
-            assert direct.symbol == PolydiskMap.diagonal(spec, dim)
 
 
 def test_build_rejects_non_self_map():

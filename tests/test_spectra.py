@@ -236,7 +236,7 @@ def test_beta_estimate_poly_windows_increase_toward_one():
 
 def test_beta_estimate_degenerate_and_window_checks():
     est = beta_estimate(np.array([1.0, 0.5, 0.0]), 2, (1, 3))
-    assert est.degenerate
+    assert (est.beta_minus_hat, est.beta_plus_hat) == (0.0, 0.0)
     with pytest.raises(ValueError):
         beta_estimate(np.array([1.0, 0.5]), 2, (1, 5))
 
