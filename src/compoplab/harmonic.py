@@ -35,6 +35,9 @@ DEFAULT_BASE = complex(math.pi, 3.0 * math.pi)
 # points per pass of GraphChannel.distance_vector: its ~30 temporaries of
 # this length stay in cache instead of streaming whole-ensemble arrays
 _DISTANCE_BLOCK = 8192
+# geometric bisection steps of GraphChannel.distance_vector between its
+# certified first-round radius and the fixed point's upper bound
+_DISTANCE_ROUNDS = 3
 
 
 @dataclass(frozen=True)
@@ -134,6 +137,10 @@ class GraphChannel:
             raise ValueError("g must be normalized by g(pi) = pi")
         if vals[0] < 100.0 or vals[-1] > 0.1:
             raise ValueError("g must blow up at 0+ and vanish at +inf")
+        # sup |g'| over [t_i, t_i+1] is at least the secant slope there
+        secant = np.abs(np.diff(vals)) / np.diff(grid)
+        if np.any(np.asarray(self.g_slope_bound(grid[:-1], grid[1:])) < secant):
+            raise ValueError("g_slope_bound lies below a secant slope of g")
         if not bool(np.all(self.contains(np.asarray([self.base_point])))):
             raise ValueError("base point must lie inside the channel")
 
@@ -147,25 +154,39 @@ class GraphChannel:
     def distance_vector(self, p: np.ndarray) -> np.ndarray:
         """Certified lower bound on dist(p, boundary).
 
-        Boundary points with |u - x| > Delta are at least Delta away; those
-        within the horizon lie on graphs of slope at most L, so each
-        vertical gap shrinks by at most 1/sqrt(1 + L^2).  Three rounds of
-        shrinking the horizon to the current candidate distance give a
-        fixed point from above.
+        With gap the smaller vertical gap to the two walls and L(delta) the
+        slope bound over [x - delta, x + delta], every returned delta
+        satisfies delta <= min(x/2, gap) and delta <= h(delta) =
+        gap / sqrt(1 + L(delta)^2), checked per point: boundary points with
+        |u - x| > delta are more than delta away, and those within lie on
+        graphs of slope at most L(delta), so their distance is at least
+        h(delta).  h decreases, so the certified radii form an interval
+        [0, delta*].  The solve starts from lo = min(cap, h(cap)), with
+        cap = min(x/2, gap), certified because L(cap) also bounds the slope
+        over the smaller horizon, and from hi = min(cap, h(lo)) >= delta*.
+        It then takes _DISTANCE_ROUNDS geometric bisection steps, keeping a
+        midpoint as lo only where mid <= h(mid) holds.
         """
         out = np.empty(p.shape)
-        for lo in range(0, p.size, _DISTANCE_BLOCK):
-            block = p[lo : lo + _DISTANCE_BLOCK]
+        for start in range(0, p.size, _DISTANCE_BLOCK):
+            block = p[start : start + _DISTANCE_BLOCK]
             x, y = block.real, block.imag
             g = self.g(x)
-            gap_lo = y - g
-            gap_hi = g + FOUR_PI - y
-            gap = np.minimum(gap_lo, gap_hi)
-            delta = np.minimum(x * 0.5, gap)
-            for _ in range(3):
+            gap = np.minimum(y - g, g + FOUR_PI - y)
+
+            def h(delta):
                 slope = self.g_slope_bound(x - delta, x + delta)
-                delta = np.minimum(delta, gap / np.sqrt(1.0 + slope * slope))
-            out[lo : lo + _DISTANCE_BLOCK] = delta
+                return gap / np.sqrt(1.0 + slope * slope)
+
+            cap = np.minimum(x * 0.5, gap)
+            lo = np.minimum(cap, h(cap))
+            hi = np.minimum(cap, h(lo))
+            for _ in range(_DISTANCE_ROUNDS):
+                mid = np.sqrt(lo * hi)
+                ok = mid <= h(mid)
+                lo = np.where(ok, mid, lo)
+                hi = np.where(ok, hi, mid)
+            out[start : start + _DISTANCE_BLOCK] = lo
         return out
 
     def far_mask(self, p: np.ndarray) -> np.ndarray:

@@ -3,9 +3,12 @@ import threading
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
+from compoplab.experiments import spiral_ensemble
 from compoplab.harmonic import (
     _DISTANCE_BLOCK,
+    _DISTANCE_ROUNDS,
     _iteration_rng,
     FOUR_PI,
     TWO_PI,
@@ -26,14 +29,6 @@ def channel():
     return GraphChannel()
 
 
-def _boundary_points(channel, count=10**4):
-    x = np.geomspace(5e-2, 5e3, count // 2)
-    g = channel.g(x)
-    lower = x + 1j * g
-    upper = x + 1j * (g + 4 * PI)
-    return np.concatenate([lower, upper])
-
-
 def _distance(channel, p):
     arr = np.array([p], dtype=complex)
     assert bool(channel.contains(arr)[0])
@@ -52,18 +47,91 @@ def test_distance_flat_channel_limit(channel):
     assert d == pytest.approx(2 * PI, rel=1e-2)
 
 
+def _wall_distance(channel, p):
+    """dist(p, boundary): for each wall, the nearest of 2001 points on it
+    within the vertical gap's horizon, refined by a bounded minimisation
+    over the horizontal offset (so the tolerance scales with the offset)."""
+    x, y = p.real, p.imag
+    best = math.inf
+    for shift in (0.0, 4 * PI):
+
+        def sq(s, shift=shift):
+            return s * s + (channel.g(x + s) + shift - y) ** 2
+
+        # the wall point straight above or below p is r away
+        r = abs(float(channel.g(np.array([x]))[0]) + shift - y)
+        s = np.linspace(max(-r, -x * (1.0 - 1e-9)), r, 2001)
+        vals = sq(s)
+        i = int(np.argmin(vals))
+        fine = minimize_scalar(
+            sq,
+            bounds=(s[max(i - 1, 0)], s[min(i + 1, s.size - 1)]),
+            method="bounded",
+            options={"xatol": 1e-18},
+        )
+        best = min(best, math.sqrt(min(vals[i], float(fine.fun))))
+    return best
+
+
 def test_distance_is_certified_lower_bound(channel, rng):
-    boundary = _boundary_points(channel)
-    xs = rng.uniform(0.2, 50.0, 300)
-    for x in xs:
-        g = float(channel.g(np.array([x]))[0])
-        y = g + rng.uniform(0.05, 1.0) * 4 * PI
-        p = complex(x, y)
-        if not bool(channel.contains(np.array([p]))[0]):
-            continue
-        d = _distance(channel, p)
-        assert d > 0.0
-        assert d <= np.min(np.abs(boundary - p)) + 1e-9
+    # interior points, and points 1e-5 to 1e-2 above the lower wall or
+    # below the upper one, where the bound is within O(gap) of the distance
+    x = np.exp(rng.uniform(math.log(0.05), math.log(50.0), 400))
+    y = channel.g(x) + rng.uniform(0.0, 1.0, x.size) * 4 * PI
+    x_wall = np.exp(rng.uniform(math.log(0.05), math.log(50.0), 200))
+    gap = np.exp(rng.uniform(math.log(1e-5), math.log(1e-2), x_wall.size))
+    upper = rng.uniform(size=x_wall.size) < 0.5
+    y_wall = channel.g(x_wall) + np.where(upper, 4 * PI - gap, gap)
+    p = np.concatenate([x + 1j * y, x_wall + 1j * y_wall])
+    assert np.all(channel.contains(p))
+    d = channel.distance_vector(p)
+    true = np.array([_wall_distance(channel, q) for q in p])
+    assert np.all(d > 0.0)
+    # up to the rounding of the walls' heights, which is all p resolves
+    slack = 4.0 * np.spacing(np.abs(p.imag))
+    assert np.all(d <= true + slack), np.max((d - true) / slack)
+    # near the walls the certificate is tight to within O(gap)
+    assert np.min(d[x.size :] / true[x.size :]) > 0.9
+
+
+class _RecordingRegion:
+    """A region that keeps every point its distance bound is asked for."""
+
+    def __init__(self, region):
+        self.region = region
+        self.points = []
+
+    def __getattr__(self, name):
+        return getattr(self.region, name)
+
+    def distance_vector(self, p):
+        self.points.append(p.copy())
+        return self.region.distance_vector(p)
+
+
+def test_distance_is_tight_where_walks_step(channel):
+    # most walk steps are taken at x in [0.5, 2], where the wall is steep
+    # and the slope bound over the horizon matters; there the radius after
+    # the first shrink of the horizon alone has a median of 0.32 of the
+    # true distance
+    region = _RecordingRegion(channel)
+    wos_harmonic_measure(region, lambda p: p.imag > 0, samples=500, seed=3)
+    positions = np.concatenate(region.points)
+    steep = positions[(positions.real >= 0.5) & (positions.real <= 2.0)]
+    assert steep.size > 0.5 * positions.size
+    sample = steep[:: steep.size // 300][:300]
+    ratio = channel.distance_vector(sample) / [_wall_distance(channel, q) for q in sample]
+    assert np.all(ratio <= 1.0)
+    assert np.median(ratio) >= 0.9, np.median(ratio)
+
+
+def test_spiral_ensemble_step_budget(channel):
+    # the largest certified radius keeps walks short: the first shrink of
+    # the horizon alone took 114.2 steps per walk on this ensemble
+    region = _RecordingRegion(channel)
+    samples = 2 * 10**4
+    spiral_ensemble(region, samples, seed=2028)
+    assert sum(p.size for p in region.points) / samples <= 50.0
 
 
 def test_distance_rejects_outside_points(channel):
@@ -76,6 +144,14 @@ def test_channel_validation():
         GraphChannel(g=lambda t: t, g_slope_bound=lambda lo, hi: 1.0)
     with pytest.raises(ValueError):
         GraphChannel(base_point=complex(PI, 0.0))
+
+
+def test_channel_rejects_slope_bound_below_secant():
+    # pi^2/hi^2 is |g'| at the flat end of each interval, below the
+    # secant slope pi^2/(lo*hi); twice the exact bound is accepted
+    with pytest.raises(ValueError, match="g_slope_bound"):
+        GraphChannel(g_slope_bound=lambda lo, hi: PI**2 / hi**2)
+    GraphChannel(g_slope_bound=lambda lo, hi: 2 * PI**2 / lo**2)
 
 
 def test_disk_harness_half_arc():
@@ -234,11 +310,20 @@ def _unblocked_channel_distance(channel, p):
     gap_lo = y - g
     gap_hi = g + FOUR_PI - y
     gap = np.minimum(gap_lo, gap_hi)
-    delta = np.minimum(x * 0.5, gap)
-    for _ in range(3):
+
+    def h(delta):
         slope = channel.g_slope_bound(x - delta, x + delta)
-        delta = np.minimum(delta, gap / np.sqrt(1.0 + slope * slope))
-    return delta
+        return gap / np.sqrt(1.0 + slope * slope)
+
+    cap = np.minimum(x * 0.5, gap)
+    lo = np.minimum(cap, h(cap))
+    hi = np.minimum(cap, h(lo))
+    for _ in range(_DISTANCE_ROUNDS):
+        mid = np.sqrt(lo * hi)
+        ok = mid <= h(mid)
+        lo = np.where(ok, mid, lo)
+        hi = np.where(ok, hi, mid)
+    return lo
 
 
 def _reference_walks(region, targets, samples, seed, step_cap, eps_absorb=1e-6):
@@ -307,8 +392,8 @@ _CHANNEL_WALKS = 3 * _DISTANCE_BLOCK + 5
 @pytest.mark.parametrize(
     "region, predicates, samples, step_cap",
     [
-        # the cap stops about 4% of the walks
-        (GraphChannel(), [_tail, lambda p: p.real < 0.1], _CHANNEL_WALKS, 300),
+        # the cap stops about 3% of the walks
+        (GraphChannel(), [_tail, lambda p: p.real < 0.1], _CHANNEL_WALKS, 80),
         (GraphChannel(), [_tail], _CHANNEL_WALKS, 10**6),
         # off-center, so walks take many steps before absorption
         (
