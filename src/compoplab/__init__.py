@@ -8,13 +8,7 @@ measure lab for the spiral channel region.
 
 __version__ = "0.1.0"
 
-from .series import (
-    MAX_ORDER,
-    PowerSeries,
-    extract_coefficients,
-    series_mul,
-    series_pow,
-)
+from .series import MAX_ORDER, PowerSeries
 from .symbols import (
     BlaschkeSquare,
     Compose,
@@ -30,7 +24,6 @@ from .symbols import (
     SingularEvaluationError,
     Symbol,
     blaschke_contraction_ratio,
-    boundary_eval,
     shipped_symbols,
 )
 from .carleson import CarlesonProfile, rho_profile

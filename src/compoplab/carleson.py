@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symbols import DEFAULT_BOUNDARY_RADIUS, Symbol, boundary_eval
+from .symbols import DEFAULT_BOUNDARY_RADIUS, Symbol
 
 __all__ = [
     "DEFAULT_SAMPLES",
@@ -67,7 +67,7 @@ class CarlesonProfile:
 
 def _boundary_values(spec: Symbol, samples: int, r_b: float) -> np.ndarray:
     t = 2.0 * np.pi * np.arange(samples) / samples
-    return np.asarray(boundary_eval(spec, t, r_b))
+    return np.asarray(spec.boundary(t, r_b))
 
 
 def _max_window_mass(w: np.ndarray, h: float, centers: int) -> int:

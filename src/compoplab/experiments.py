@@ -58,7 +58,6 @@ from .symbols import (
     Lens,
     PolydiskMap,
     ShapiroTaylor,
-    boundary_eval,
     blaschke_contraction_ratio,
 )
 
@@ -218,10 +217,10 @@ def _exp_cusp_diagonal(rec: _Recorder):
 # each caller passes its own sample counts, seeds and ranges
 
 
-def kernel_sweep(poly: PolydiskMap, j_max: int = 30):
-    """Rows (j, r, kernel ratio) at the kernel points (r, 0, ..., 0), r = 1 - 2^-j."""
+def kernel_sweep(poly: PolydiskMap):
+    """Rows (j, r, kernel ratio) at the kernel points (r, 0, ..., 0), r = 1 - 2^-j, j <= 30."""
     rows = []
-    for j in range(1, j_max + 1):
+    for j in range(1, 31):
         r = 1.0 - 2.0**-j
         point = KernelPoint((r,) + (0.0,) * (poly.dimension - 1))
         rows.append((j, r, kernel_ratio(poly, point)))
@@ -524,7 +523,7 @@ def _exp_blaschke_passage(rec: _Recorder):
     rows = []
     all_ok = True
     for name, inner in (("cusp", Cusp()), ("lens-half", Lens(0.5))):
-        sigma_vals = boundary_eval(inner, t)
+        sigma_vals = inner.boundary(t)
         psi_vals = blaschke.evaluate(sigma_vals)
         for h in hs:
             lhs = float(np.mean(np.abs(psi_vals) > 1.0 - h))

@@ -1,6 +1,8 @@
 """Matrices of composition operators in orthonormal monomial bases.
 
-Column k of the matrix of C_phi is the coefficient vector of phi^k.  The
+Column k of the matrix of C_phi is the coefficient vector of phi^k.  One
+circle transform (`_grid_power_columns`) gives every such column, for
+`build_matrix`, `hs_norm_sq` and the multi-index oracle alike.  The
 diagonal polydisk map Phi(z) = (phi(z_1), ..., phi(z_1)) on H^2(D^N)
 reduces exactly to a one-variable matrix whose column k carries the
 multiplicity weight sqrt(C(k+N-1, N-1)); see `build_matrix`.
@@ -21,13 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .series import (
-    MAX_ORDER,
-    default_radius,
-    default_sample_count,
-    extract_coefficients,
-    series_pow,
-)
+from .series import MAX_ORDER, _circle_nodes, default_radius, default_sample_count
 from .spectra import SingularSpectrum, classify_series_convergence
 from .symbols import KernelPoint, PolydiskMap, SingularEvaluationError, Symbol
 
@@ -57,7 +53,6 @@ class OperatorMatrix:
     """Finite section of a composition operator in orthonormal bases."""
 
     entries: np.ndarray
-    truncation: int
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=complex)
@@ -76,14 +71,17 @@ def _grid_power_columns(spec: Symbol, truncation: int):
     """Yield (k, coeffs of phi^k truncated below `truncation`) for k = 0..K-1.
 
     One evaluation of phi on the sampling circle, then pointwise powers and
-    one FFT per column.  Requires sup |phi| <= 1 so the alias bound holds
-    uniformly in k.
+    one FFT per column: the discrete Cauchy integral
+    c_k ~ (1/(M r^k)) sum_m f(r w^m) w^(-km) (Bornemann, Found. Comput.
+    Math. 11, 2011).  The alias bound holds uniformly in k only for
+    sup |phi| <= 1, so two lower bounds of sup |phi| are checked against 1:
+    the maximum modulus on the circle and the l2 norm of column 1 (the H^2
+    norm of phi, up to alias and rounding).
     """
     order = truncation - 1
     r = default_radius(order)
     m = default_sample_count(order)
-    nodes = r * np.exp(2j * np.pi * np.arange(m) / m)
-    values = np.asarray(spec.evaluate(nodes), dtype=complex)
+    values = np.asarray(spec.evaluate(_circle_nodes(r, m)), dtype=complex)
     top = float(np.max(np.abs(values)))
     if top > 1.0 + 1e-9:
         raise SingularEvaluationError(
@@ -94,7 +92,14 @@ def _grid_power_columns(spec: Symbol, truncation: int):
     for k in range(truncation):
         if k:
             running = running * values
-        yield k, np.fft.fft(running)[:truncation] * unscale
+        col = np.fft.fft(running)[:truncation] * unscale
+        if k == 1:
+            norm = float(np.linalg.norm(col))
+            if norm > 1.0 + 1e-9:
+                raise SingularEvaluationError(
+                    f"symbol is not a self-map: its coefficients have l2 norm {norm:.6g} > 1"
+                )
+        yield k, col
 
 
 def multiplicity_weights(truncation: int, dimension: int) -> np.ndarray:
@@ -129,7 +134,7 @@ def build_matrix(spec: Symbol, truncation: int, dimension: int = 1) -> OperatorM
     entries = np.empty((truncation, truncation), dtype=complex)
     for k, col in _grid_power_columns(spec, truncation):
         entries[:, k] = col * weights[k]
-    return OperatorMatrix(entries, truncation=truncation)
+    return OperatorMatrix(entries)
 
 
 def multi_indices(dimension: int, degree_cap: int):
@@ -151,8 +156,9 @@ def multi_index_oracle(poly: PolydiskMap, degree_cap: int) -> OperatorMatrix:
     """Brute-force section of C_Phi on the monomial basis {z^alpha : |alpha| <= D}.
 
     Entry (beta, alpha) is the coefficient of z^beta in
-    prod_j map_j(z_{source_j})^{alpha_j}.  Independent of the diagonal
-    reduction; used as a test oracle only.
+    prod_j map_j(z_{source_j})^{alpha_j}.  It shares only the 1-d power
+    columns with `build_matrix`, not the diagonal reduction or its
+    multiplicity weights; used as a test oracle only.
     """
     n = poly.dimension
     basis = multi_indices(n, degree_cap)
@@ -162,10 +168,9 @@ def multi_index_oracle(poly: PolydiskMap, degree_cap: int) -> OperatorMatrix:
             f"oracle basis has {side} monomials; cap is {ORACLE_SIZE_CAP}"
         )
     # 1-d coefficient table: powers[j][k] = coefficients of map_j^k, degree <= D
-    powers = []
-    for _, spec in poly.coords:
-        base = extract_coefficients(spec.evaluate, degree_cap)
-        powers.append([series_pow(base, k, degree_cap).coeffs for k in range(degree_cap + 1)])
+    powers = [
+        [col for _, col in _grid_power_columns(spec, degree_cap + 1)] for _, spec in poly.coords
+    ]
 
     beta_mat = np.asarray(basis, dtype=int)  # (side, n)
     entries = np.empty((side, side), dtype=complex)
@@ -187,7 +192,7 @@ def multi_index_oracle(poly: PolydiskMap, degree_cap: int) -> OperatorMatrix:
                 factor[0] = 1.0
             column = column * factor[beta_mat[:, src - 1]]
         entries[:, col] = column
-    return OperatorMatrix(entries, truncation=degree_cap)
+    return OperatorMatrix(entries)
 
 
 @dataclass(frozen=True)

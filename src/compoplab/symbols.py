@@ -34,7 +34,6 @@ __all__ = [
     "ExplicitSeries",
     "PolydiskMap",
     "KernelPoint",
-    "boundary_eval",
     "blaschke_contraction_ratio",
     "shipped_symbols",
 ]
@@ -354,11 +353,6 @@ class KernelPoint:
 
     def __len__(self):
         return len(self.values)
-
-
-def boundary_eval(spec: Symbol, t, r_b: float = DEFAULT_BOUNDARY_RADIUS):
-    """Radial-limit proxy phi*(e^{it}) ~ phi(r_b e^{it})."""
-    return spec.boundary(t, r_b)
 
 
 def blaschke_contraction_ratio(a: float, z: complex) -> float:

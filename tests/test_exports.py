@@ -12,8 +12,6 @@ import compoplab
 
 PACKAGE = Path(compoplab.__file__).parent
 ROOT = PACKAGE.parent.parent
-# Exported only as independent references for the unit tests.
-TEST_ORACLES = {"series_mul"}
 
 
 def _package_imports():
@@ -73,7 +71,7 @@ def _public_members(path: Path) -> set:
 
 def test_every_package_export_has_a_caller():
     used = set().union(*(_used_names(p) for p in _caller_sources()))
-    uncalled = sorted({name for _, name in _package_imports()} - used - TEST_ORACLES)
+    uncalled = sorted({name for _, name in _package_imports()} - used)
     assert not uncalled, f"exported but never called in src/, acceptance or perfbench/: {uncalled}"
 
 

@@ -26,6 +26,7 @@ from compoplab.symbols import (
     PolydiskMap,
     Rotation,
     ShapiroTaylor,
+    SingularEvaluationError,
     Symbol,
 )
 from compoplab.spectra import linear_fit, singular_values, tensor_merge
@@ -134,6 +135,25 @@ def test_hs_trend_rotation_diverges():
     assert hs_norm_sq(Rotation(0.3), 256).trend == "diverging"
     with pytest.raises(ValueError):
         hs_norm_sq(HALF, 32)
+
+
+class _HighPeak(Symbol):
+    """0.9 + 0.9 z^20: the sampling circle of K = 64 (radius 0.881) sees at
+    most modulus 0.971, but the coefficients have l2 norm 0.9 sqrt(2) = 1.27,
+    so the map leaves the disk."""
+
+    def _raw(self, z):
+        return 0.9 + 0.9 * z**20
+
+
+def test_columns_reject_a_map_that_leaves_the_disk_off_the_circle():
+    spec = _HighPeak()
+    circle = 0.9 * (1.0 + math.exp(-8.0 / 63.0) ** 20)
+    assert circle < 0.98
+    with pytest.raises(SingularEvaluationError, match="l2 norm 1.27"):
+        build_matrix(spec, 64)
+    with pytest.raises(SingularEvaluationError, match="l2 norm 1.27"):
+        hs_norm_sq(spec, 64)
 
 
 def test_kernel_ratio_at_origin():

@@ -18,7 +18,6 @@ from compoplab.symbols import (
     Scalar,
     ShapiroTaylor,
     blaschke_contraction_ratio,
-    boundary_eval,
 )
 
 
@@ -44,19 +43,19 @@ def test_cusp_logarithmic_contact_law():
 
 def test_boundary_eval_identity():
     # proxy radius 1 - 1e-8 puts the value within 1e-8 of the true limit
-    assert abs(boundary_eval(Identity(), 0.0) - 1.0) <= 1.01e-8
+    assert abs(Identity().boundary(0.0) - 1.0) <= 1.01e-8
 
 
 def test_lens_boundary_contact_exponent():
     ts = np.array([1e-2, 1e-4, 1e-6])
-    gaps = 1.0 - np.abs(boundary_eval(Lens(0.5), ts))
+    gaps = 1.0 - np.abs(Lens(0.5).boundary(ts))
     slope = linear_fit(np.log(ts), np.log(gaps))[0]
     assert abs(slope - 0.5) <= 0.05
 
 
 def test_shapiro_taylor_boundary_tends_to_one():
     st = ShapiroTaylor(2.0)
-    mods = [abs(boundary_eval(st, t)) for t in (1e-2, 1e-3, 1e-4)]
+    mods = [abs(st.boundary(t)) for t in (1e-2, 1e-3, 1e-4)]
     assert mods[0] < mods[1] < mods[2]
     assert mods[-1] > 0.999
 
@@ -131,7 +130,7 @@ def test_cusp_contact_stable_across_radii():
     for t in (1e-2, 1e-3):
         vals = []
         for r_b in (1 - 1e-6, 1 - 1e-8):
-            vals.append(abs(1 - boundary_eval(cusp, t, r_b)) * math.log(1.0 / t))
+            vals.append(abs(1 - cusp.boundary(t, r_b)) * math.log(1.0 / t))
         assert abs(vals[0] - vals[1]) < 1e-3
         assert 1.0 <= min(vals) and max(vals) <= 2.5
 
@@ -142,7 +141,7 @@ def test_blaschke_level_set_passage():
     kappa = 4.0 / (1.0 - a * a)
     t = 2.0 * np.pi * np.arange(1 << 16) / (1 << 16)
     for inner in (Cusp(), Lens(0.5)):
-        sigma = boundary_eval(inner, t)
+        sigma = inner.boundary(t)
         psi = BlaschkeSquare(a).evaluate(sigma)
         for h in (0.25, 0.1, 0.05):
             lhs = np.mean(np.abs(psi) > 1.0 - h)
@@ -192,7 +191,7 @@ def test_polydisk_map_eval():
 def test_default_boundary_radius_matches_contract():
     assert C.symbols.DEFAULT_BOUNDARY_RADIUS == 1 - 1e-8
     with pytest.raises(ValueError):
-        boundary_eval(Identity(), 0.0, r_b=1.0)
+        Identity().boundary(0.0, r_b=1.0)
 
 
 def test_branch_cut_inputs_are_nudged_and_flagged():
