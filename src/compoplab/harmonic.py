@@ -35,9 +35,6 @@ DEFAULT_BASE = complex(math.pi, 3.0 * math.pi)
 # points per pass of GraphChannel.distance_vector: its ~30 temporaries of
 # this length stay in cache instead of streaming whole-ensemble arrays
 _DISTANCE_BLOCK = 8192
-# geometric bisection steps of GraphChannel.distance_vector between its
-# certified first-round radius and the fixed point's upper bound
-_DISTANCE_ROUNDS = 3
 
 
 @dataclass(frozen=True)
@@ -154,18 +151,18 @@ class GraphChannel:
     def distance_vector(self, p: np.ndarray) -> np.ndarray:
         """Certified lower bound on dist(p, boundary).
 
-        With gap the smaller vertical gap to the two walls and L(delta) the
-        slope bound over [x - delta, x + delta], every returned delta
-        satisfies delta <= min(x/2, gap) and delta <= h(delta) =
-        gap / sqrt(1 + L(delta)^2), checked per point: boundary points with
-        |u - x| > delta are more than delta away, and those within lie on
-        graphs of slope at most L(delta), so their distance is at least
-        h(delta).  h decreases, so the certified radii form an interval
-        [0, delta*].  The solve starts from lo = min(cap, h(cap)), with
-        cap = min(x/2, gap), certified because L(cap) also bounds the slope
-        over the smaller horizon, and from hi = min(cap, h(lo)) >= delta*.
-        It then takes _DISTANCE_ROUNDS geometric bisection steps, keeping a
-        midpoint as lo only where mid <= h(mid) holds.
+        With gap the smaller vertical gap to the two walls and L(t) the
+        slope bound over [x - t, x + t], every t <= cap = min(x/2, gap)
+        certifies r = min(t, h(t)), h(t) = gap / sqrt(1 + L(t)^2): boundary
+        points with |u - x| > r are more than r away, and those within lie
+        on graphs of slope at most L(t), since [x - r, x + r] lies in
+        [x - t, x + t], so their distance is at least h(t) >= r.  The
+        largest such r is the fixed point of the decreasing h, which lies in
+        [lo, hi] with lo = min(cap, h(cap)) and hi = min(cap, h(lo)).  One
+        secant step aims at it: t is where the chord of h through
+        (lo, h(lo)) and (cap, h(cap)) meets the identity, clipped into
+        [lo, hi]; where cap = lo the quotient is 0/0, and t = lo.
+        The radius is max(lo, min(t, h(t))), three evaluations of h.
         """
         out = np.empty(p.shape)
         for start in range(0, p.size, _DISTANCE_BLOCK):
@@ -179,14 +176,15 @@ class GraphChannel:
                 return gap / np.sqrt(1.0 + slope * slope)
 
             cap = np.minimum(x * 0.5, gap)
-            lo = np.minimum(cap, h(cap))
-            hi = np.minimum(cap, h(lo))
-            for _ in range(_DISTANCE_ROUNDS):
-                mid = np.sqrt(lo * hi)
-                ok = mid <= h(mid)
-                lo = np.where(ok, mid, lo)
-                hi = np.where(ok, hi, mid)
-            out[start : start + _DISTANCE_BLOCK] = lo
+            h_cap = h(cap)
+            lo = np.minimum(cap, h_cap)
+            h_lo = h(lo)
+            width = cap - lo
+            with np.errstate(invalid="ignore"):
+                t = lo + (h_lo - lo) * width / (width - (h_cap - h_lo))
+            # fmax drops the 0/0 of cap = lo
+            t = np.minimum(np.fmax(t, lo), np.minimum(cap, h_lo))
+            out[start : start + _DISTANCE_BLOCK] = np.maximum(lo, np.minimum(t, h(t)))
         return out
 
     def far_mask(self, p: np.ndarray) -> np.ndarray:

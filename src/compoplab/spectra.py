@@ -380,7 +380,6 @@ class BetaEstimate:
     """Window statistics of s_n^(1/n^(1/N)) (proxies for liminf/limsup);
     both are 0.0 when the window holds a zero value."""
 
-    dimension: int
     beta_minus_hat: float
     beta_plus_hat: float
     window: tuple
@@ -395,11 +394,10 @@ def beta_estimate(spectrum, dimension: int, window: tuple | None = None) -> Beta
         raise ValueError(f"window {window} outside available indices 1..{values.size}")
     vals = values[lo - 1 : hi]
     if np.any(vals <= 0.0):
-        return BetaEstimate(dimension, 0.0, 0.0, (lo, hi))
+        return BetaEstimate(0.0, 0.0, (lo, hi))
     n = np.arange(lo, hi + 1, dtype=float)
     stats = vals ** (1.0 / n ** (1.0 / dimension))
     return BetaEstimate(
-        dimension,
         beta_minus_hat=float(stats.min()),
         beta_plus_hat=float(stats.max()),
         window=(lo, hi),

@@ -88,6 +88,11 @@ def ensemble():
     return region, ys, hs, tails, levels, time.perf_counter() - start
 
 
+def _hits(estimates):
+    """Hit count of each Monte Carlo target: probability times samples."""
+    return [round(e.probability * e.samples) for e in estimates]
+
+
 def _refinement_delta(coarse, fine, hi):
     """Largest relative move of s_20..s_hi under a nested node refinement."""
     if len(fine) < hi:
@@ -244,7 +249,7 @@ def test_criterion_07_spiral_harmonic_tail(ensemble):
     )
     ok = slope_ok and harness_ok and elapsed <= 600.0
     detail = (
-        f"slope={slope:.2f} on {positive} positive points, "
+        f"slope={slope:.2f} on {positive} positive points, hits {_hits(tails)}, "
         f"disk={disk.probability:.4f}, half-plane={half.probability:.4f}, "
         f"{elapsed:.0f}s for 1e6 walks"
     )
@@ -256,7 +261,12 @@ def test_criterion_08_level_set_bound(ensemble):
     _, probs, c_hat, single_constant = level_constant(region, hs, levels, 1e-15)
     tiny = bool(np.all(probs <= 1e-3))
     ok = single_constant and tiny and np.isfinite(c_hat)
-    detail = f"C_hat={c_hat:.3g}, probabilities {probs.tolist()} (theory scale e^(5pi-g(2h)))"
+    hits = _hits(levels)
+    vacuous = "" if any(hits) else " (vacuous)"
+    detail = (
+        f"C_hat={c_hat:.3g}, probabilities {probs.tolist()}, hits {hits}{vacuous} "
+        "(theory scale e^(5pi-g(2h)))"
+    )
     assert _report(8, "level-set tail bounded by e^(5pi - g(2h))", ok, detail), detail
 
 

@@ -6,6 +6,7 @@ nothing runs."""
 import ast
 import importlib
 import pkgutil
+from collections import Counter
 from pathlib import Path
 
 import compoplab
@@ -83,11 +84,19 @@ def test_every_public_class_member_has_a_caller():
     assert not uncalled, f"defined but never used in src/, acceptance or perfbench/: {uncalled}"
 
 
-def _dataclass_fields(path: Path) -> set:
-    """(class, field) of every annotated field of a file's dataclasses, except
-    in a module that calls `asdict`: those are written out whole (the run
-    manifest), so every field is read."""
-    tree = ast.parse(path.read_text())
+# Fields whose name another dataclass shares, and that are read only through
+# an object whose class the AST cannot see: the function that reads each.
+SHARED_FIELD_READS = {
+    ("GraphChannel", "alpha"): "spiral_ensemble",
+    ("DiskRegion", "base_point"): "wos_harmonic_measures",
+    ("HalfPlaneRegion", "base_point"): "wos_harmonic_measures",
+}
+
+
+def _dataclass_fields(tree: ast.AST) -> set:
+    """(class, field) of every annotated field of a module's dataclasses,
+    except in a module that calls `asdict`: those are written out whole
+    (the run manifest), so every field is read."""
     if any(isinstance(node, ast.Name) and node.id == "asdict" for node in ast.walk(tree)):
         return set()
     return {
@@ -103,17 +112,77 @@ def _dataclass_fields(path: Path) -> set:
     }
 
 
-def _attribute_loads(path: Path) -> set:
+def _attribute_loads(tree: ast.AST) -> set:
     return {
         node.attr
-        for node in ast.walk(ast.parse(path.read_text()))
+        for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
 
 
-def test_every_dataclass_field_is_read():
-    fields = set().union(*(_dataclass_fields(p) for p in PACKAGE.glob("*.py")))
+def _scoped_loads(tree: ast.AST) -> set:
+    """(class, attribute) of every `self.<attribute>` read in a class body,
+    and (function, attribute) of every attribute read in a function."""
+    loads = set()
+    for scope in ast.walk(tree):
+        if isinstance(scope, ast.ClassDef):
+            loads |= {
+                (scope.name, node.attr)
+                for node in ast.walk(scope)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load)
+                and getattr(node.value, "id", None) == "self"
+            }
+        elif isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            loads |= {(scope.name, attr) for attr in _attribute_loads(scope)}
+    return loads
+
+
+def _unread_fields(field_trees, caller_trees, shared_reads) -> list:
+    """Dataclass fields nothing reads.  A field with a name of its own is read
+    by any `.name` load; one whose name another dataclass shares needs a
+    `self.name` read in its own class, or one in the function that
+    `shared_reads` names for it."""
+    fields = set().union(*(_dataclass_fields(t) for t in field_trees))
     assert fields
-    read = set().union(*(_attribute_loads(p) for p in _caller_sources()))
-    unread = sorted(f"{cls}.{name}" for cls, name in fields if name not in read)
+    by_name = Counter(name for _, name in fields)
+    shared = {f for f in fields if by_name[f[1]] > 1}
+    stale = sorted(set(shared_reads) - shared)
+    assert not stale, f"SHARED_FIELD_READS names no shared dataclass field: {stale}"
+    read = set().union(*(_attribute_loads(t) for t in caller_trees))
+    scoped = set().union(*(_scoped_loads(t) for t in caller_trees))
+
+    def is_read(cls, name):
+        if (cls, name) not in shared:
+            return name in read
+        return (cls, name) in scoped or (shared_reads.get((cls, name)), name) in scoped
+
+    return sorted(f"{cls}.{name}" for cls, name in fields if not is_read(cls, name))
+
+
+def test_every_dataclass_field_is_read():
+    unread = _unread_fields(
+        [ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")],
+        [ast.parse(p.read_text()) for p in _caller_sources()],
+        SHARED_FIELD_READS,
+    )
     assert not unread, f"dataclass fields never read in src/, acceptance or perfbench/: {unread}"
+
+
+def test_a_shared_field_name_needs_a_read_through_its_own_class():
+    # B.size shares its name with A.size; reads of A's field, and of a
+    # `.size` on an object of no known class, do not count for B's
+    tree = ast.parse(
+        "@dataclass\n"
+        "class A:\n"
+        "    size: int\n"
+        "    def area(self):\n"
+        "        return self.size ** 2\n"
+        "@dataclass\n"
+        "class B:\n"
+        "    size: int\n"
+        "def total(items):\n"
+        "    return sum(item.size for item in items)\n"
+    )
+    assert _unread_fields([tree], [tree], {}) == ["B.size"]
+    assert _unread_fields([tree], [tree], {("B", "size"): "total"}) == []

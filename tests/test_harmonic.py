@@ -8,7 +8,7 @@ from scipy.optimize import minimize_scalar
 from compoplab.experiments import spiral_ensemble
 from compoplab.harmonic import (
     _DISTANCE_BLOCK,
-    _DISTANCE_ROUNDS,
+    _default_slope_bound,
     _iteration_rng,
     FOUR_PI,
     TWO_PI,
@@ -73,25 +73,41 @@ def _wall_distance(channel, p):
     return best
 
 
-def test_distance_is_certified_lower_bound(channel, rng):
+def _steeper_g(t):
+    return PI**3 / t**2
+
+
+@pytest.mark.parametrize(
+    "region, tightness",
+    [
+        (GraphChannel(), 0.9),
+        # a more curved wall, so the secant meets a more curved h
+        (GraphChannel(g=_steeper_g, g_slope_bound=lambda lo, hi: 2 * PI**3 / lo**3), 0.9),
+        # a valid but doubled slope bound: near a steep wall the certificate
+        # then reaches only about half the distance
+        (GraphChannel(g_slope_bound=lambda lo, hi: 2 * _default_slope_bound(lo, hi)), 0.45),
+    ],
+    ids=["default", "steeper-wall", "doubled-slope-bound"],
+)
+def test_distance_is_certified_lower_bound(region, tightness, rng):
     # interior points, and points 1e-5 to 1e-2 above the lower wall or
     # below the upper one, where the bound is within O(gap) of the distance
     x = np.exp(rng.uniform(math.log(0.05), math.log(50.0), 400))
-    y = channel.g(x) + rng.uniform(0.0, 1.0, x.size) * 4 * PI
+    y = region.g(x) + rng.uniform(0.0, 1.0, x.size) * 4 * PI
     x_wall = np.exp(rng.uniform(math.log(0.05), math.log(50.0), 200))
     gap = np.exp(rng.uniform(math.log(1e-5), math.log(1e-2), x_wall.size))
     upper = rng.uniform(size=x_wall.size) < 0.5
-    y_wall = channel.g(x_wall) + np.where(upper, 4 * PI - gap, gap)
+    y_wall = region.g(x_wall) + np.where(upper, 4 * PI - gap, gap)
     p = np.concatenate([x + 1j * y, x_wall + 1j * y_wall])
-    assert np.all(channel.contains(p))
-    d = channel.distance_vector(p)
-    true = np.array([_wall_distance(channel, q) for q in p])
+    assert np.all(region.contains(p))
+    d = region.distance_vector(p)
+    true = np.array([_wall_distance(region, q) for q in p])
     assert np.all(d > 0.0)
     # up to the rounding of the walls' heights, which is all p resolves
     slack = 4.0 * np.spacing(np.abs(p.imag))
     assert np.all(d <= true + slack), np.max((d - true) / slack)
     # near the walls the certificate is tight to within O(gap)
-    assert np.min(d[x.size :] / true[x.size :]) > 0.9
+    assert np.min(d[x.size :] / true[x.size :]) > tightness
 
 
 class _RecordingRegion:
@@ -125,13 +141,72 @@ def test_distance_is_tight_where_walks_step(channel):
     assert np.median(ratio) >= 0.9, np.median(ratio)
 
 
-def test_spiral_ensemble_step_budget(channel):
+class _CountingSlopeBound:
+    """The default slope bound, counting its calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, lo, hi):
+        self.calls += 1
+        return _default_slope_bound(lo, hi)
+
+
+@pytest.fixture(scope="module")
+def spiral_walks():
+    """(walk positions, g_slope_bound calls) of the spiral ensemble at
+    2x10^4 walks, seed 2028, on the default channel."""
+    bound = _CountingSlopeBound()
+    region = _RecordingRegion(GraphChannel(g_slope_bound=bound))
+    bound.calls = 0  # the channel's validation called it once
+    spiral_ensemble(region, 2 * 10**4, seed=2028)
+    return region.points, bound.calls
+
+
+def test_spiral_ensemble_step_budget(spiral_walks):
     # the largest certified radius keeps walks short: the first shrink of
     # the horizon alone took 114.2 steps per walk on this ensemble
-    region = _RecordingRegion(channel)
-    samples = 2 * 10**4
-    spiral_ensemble(region, samples, seed=2028)
-    assert sum(p.size for p in region.points) / samples <= 50.0
+    points, _ = spiral_walks
+    assert sum(p.size for p in points) / (2 * 10**4) <= 50.0
+
+
+def _certificate(channel, p):
+    """(cap, h) of the distance certificate: every t <= cap = min(x/2, gap)
+    certifies the radius min(t, h(t)), h(t) = gap / sqrt(1 + L(t)^2)."""
+    x, y = p.real, p.imag
+    g = channel.g(x)
+    gap = np.minimum(y - g, g + FOUR_PI - y)
+
+    def h(delta):
+        slope = channel.g_slope_bound(x - delta, x + delta)
+        return gap / np.sqrt(1.0 + slope * slope)
+
+    return np.minimum(x * 0.5, gap), h
+
+
+def _bisected_certified_radius(channel, p, rounds=40):
+    """The largest t <= cap with t <= h(t), by bisection."""
+    hi, h = _certificate(channel, p)
+    lo = np.zeros_like(hi)
+    for _ in range(rounds):
+        mid = 0.5 * (lo + hi)
+        ok = mid <= h(mid)
+        lo = np.where(ok, mid, lo)
+        hi = np.where(ok, hi, mid)
+    return lo
+
+
+def test_distance_reaches_the_largest_certified_radius(channel, spiral_walks):
+    # three geometric bisection steps inside the same bracket reach only
+    # 0.849 of it on these positions, at five slope-bound calls per block
+    points, calls = spiral_walks
+    positions = np.concatenate(points)
+    ratio = channel.distance_vector(positions) / _bisected_certified_radius(channel, positions)
+    assert np.min(ratio) >= 0.95, np.min(ratio)
+    # and never above it, up to the bisection's resolution
+    assert np.max(ratio) <= 1.0 + 1e-9, np.max(ratio)
+    blocks = sum(-(-p.size // _DISTANCE_BLOCK) for p in points)
+    assert calls <= 3 * blocks, calls / blocks
 
 
 def test_distance_rejects_outside_points(channel):
@@ -305,25 +380,18 @@ def test_every_walk_capped_names_the_count():
 
 def _unblocked_channel_distance(channel, p):
     """GraphChannel.distance_vector as one pass over the whole array."""
-    x, y = p.real, p.imag
-    g = channel.g(x)
-    gap_lo = y - g
-    gap_hi = g + FOUR_PI - y
-    gap = np.minimum(gap_lo, gap_hi)
-
-    def h(delta):
-        slope = channel.g_slope_bound(x - delta, x + delta)
-        return gap / np.sqrt(1.0 + slope * slope)
-
-    cap = np.minimum(x * 0.5, gap)
-    lo = np.minimum(cap, h(cap))
-    hi = np.minimum(cap, h(lo))
-    for _ in range(_DISTANCE_ROUNDS):
-        mid = np.sqrt(lo * hi)
-        ok = mid <= h(mid)
-        lo = np.where(ok, mid, lo)
-        hi = np.where(ok, hi, mid)
-    return lo
+    cap, h = _certificate(channel, p)
+    h_cap = h(cap)
+    lo = np.minimum(cap, h_cap)
+    h_lo = h(lo)
+    hi = np.minimum(cap, h_lo)
+    # the secant of h through (lo, h(lo)) and (cap, h(cap)) meets the
+    # identity at t; where cap = lo the quotient is 0/0, and t = lo
+    width = cap - lo
+    with np.errstate(invalid="ignore"):
+        t = lo + (h_lo - lo) * width / (width - (h_cap - h_lo))
+    t = np.where(np.isnan(t), lo, np.clip(t, lo, hi))
+    return np.maximum(lo, np.minimum(t, h(t)))
 
 
 def _reference_walks(region, targets, samples, seed, step_cap, eps_absorb=1e-6):
