@@ -3,8 +3,9 @@
 `PowerSeries` holds Taylor coefficients and evaluates them by Horner's
 rule.  The sampling circle of the discrete Cauchy integral that recovers
 the coefficients of the powers phi^k (`operators._grid_power_columns`)
-is set here: radius exp(-8/K) and 8(K+1) samples rounded up to a power
-of two.
+is set here.  For a truncation K (coefficients of degree < K, so order
+K - 1) the radius is exp(-8/(K-1)) and the sample count is 8K rounded up
+to a power of two: 16,384 at K = 2048.
 """
 
 from __future__ import annotations
@@ -26,12 +27,12 @@ MAX_ORDER = 4096
 
 
 def default_radius(order: int) -> float:
-    """Sampling radius exp(-8/K): alias decay ~e^-64 against amplification e^8."""
+    """Sampling radius exp(-8/order): alias decay ~e^-64 against amplification e^8."""
     return math.exp(-8.0 / max(order, 1))
 
 
 def default_sample_count(order: int) -> int:
-    """8*(K+1) rounded up to a power of two."""
+    """8*(order+1) rounded up to a power of two."""
     return 1 << max(3, math.ceil(math.log2(8 * (order + 1))))
 
 

@@ -15,7 +15,7 @@ from compoplab.operators import (
     multiplicity_weights,
     unboundedness_witness,
 )
-from compoplab.series import PowerSeries
+from compoplab.series import PowerSeries, _circle_nodes, default_radius, default_sample_count
 from compoplab.symbols import (
     Compose,
     Cusp,
@@ -33,6 +33,22 @@ from compoplab.spectra import linear_fit, singular_values, tensor_merge
 from conftest import strip_lattice
 
 HALF = ExplicitSeries(PowerSeries([0, 0.5]))
+
+
+def _per_column_reference(spec, truncation):
+    """Coefficients of phi^k below degree K for k < K, one FFT per column
+    and no flush of small samples: the circle transform as a plain loop."""
+    r = default_radius(truncation - 1)
+    m = default_sample_count(truncation - 1)
+    values = np.asarray(spec.evaluate(_circle_nodes(r, m)), dtype=complex)
+    unscale = 1.0 / (m * r ** np.arange(truncation))
+    running = np.ones(m, dtype=complex)
+    cols = []
+    for k in range(truncation):
+        if k:
+            running = running * values
+        cols.append(np.fft.fft(running)[:truncation] * unscale)
+    return cols
 
 
 def test_identity_matrix():
@@ -121,9 +137,14 @@ def test_oracle_size_guard():
 
 
 def test_hs_partial_sum_half_map():
-    rep = hs_norm_sq(HALF, 64)
-    assert abs(rep.partial - 4.0 / 3.0) < 1e-6
-    assert rep.trend == "converging"
+    # at K = 2048 every sample of (z/2)^k lies below the smallest normal
+    # float64 past k ~ 1016, so the flush zeroes all of them
+    for truncation in (64, 2048):
+        rep = hs_norm_sq(HALF, truncation)
+        assert abs(rep.partial - 4.0 / 3.0) < 1e-12
+        assert rep.trend == "converging"
+    reference = np.stack(_per_column_reference(HALF, 2048), axis=1)
+    assert np.max(np.abs(build_matrix(HALF, 2048).entries - reference)) < 1e-300
 
 
 def test_hs_trend_shapiro_taylor_dichotomy():
@@ -144,6 +165,42 @@ class _HighPeak(Symbol):
 
     def _raw(self, z):
         return 0.9 + 0.9 * z**20
+
+
+@pytest.mark.parametrize(
+    "spec, truncation",
+    [
+        (Cusp(), 256),
+        (Lens(0.5), 512),
+        (ShapiroTaylor(3.0), 2048),  # about half the samples underflow past k ~ 1500
+        (Cusp(), 1001),  # not a multiple of the block rows
+        (Lens(0.5), 1),
+        (Lens(0.5), 2),
+    ],
+)
+def test_blocked_columns_match_the_per_column_loop(spec, truncation):
+    cols = _per_column_reference(spec, truncation)
+    assert np.array_equal(build_matrix(spec, truncation).entries, np.stack(cols, axis=1))
+    if truncation >= 64:
+        norms = np.array([np.sum(np.abs(col) ** 2) for col in cols])
+        assert hs_norm_sq(spec, truncation).partial == float(norms.sum())
+    if truncation <= 512:
+        oracle = multi_index_oracle(PolydiskMap(1, ((1, spec),)), truncation - 1)
+        assert np.array_equal(oracle.entries, np.stack(cols, axis=1))
+
+
+class _WideLine(Symbol):
+    """0.8 + 0.8 z: modulus at most 0.8 (1 + e^-8) < 1 on the sampling
+    circle of K = 1 and K = 2, but its coefficients have l2 norm 1.13."""
+
+    def _raw(self, z):
+        return 0.8 + 0.8 * z
+
+
+def test_column_one_check_fires_only_when_column_one_exists():
+    assert np.array_equal(build_matrix(_WideLine(), 1).entries, [[1.0]])
+    with pytest.raises(SingularEvaluationError, match="l2 norm 1.13"):
+        build_matrix(_WideLine(), 2)
 
 
 def test_columns_reject_a_map_that_leaves_the_disk_off_the_circle():
