@@ -80,12 +80,10 @@ def _grid_power_columns(spec: Symbol, truncation: int):
     pointwise powers and their FFTs: the discrete Cauchy integral
     c_k ~ (1/(M r^k)) sum_m f(r w^m) w^(-km) (Bornemann, Found. Comput.
     Math. 11, 2011).  The powers are filled in row blocks of at most
-    `_BLOCK_BYTES`, and each block takes one batched FFT, in place.  After
-    each block, samples of the running power with modulus below the
-    smallest normal float64 are set to zero, so that later powers do not
-    multiply subnormals; since 1/r^j <= e^8, no coefficient moves by more
-    than e^8 times that threshold.  The alias bound holds uniformly in k only for
-    sup |phi| <= 1, so two lower bounds of sup |phi| are checked against 1:
+    `_BLOCK_BYTES`, and each block takes one batched FFT, in place; the
+    columns equal those of one FFT per column bit for bit.  The alias bound
+    holds uniformly in k only for sup |phi| <= 1, so two lower bounds of
+    sup |phi| are checked against 1:
     the maximum modulus on the circle and the l2 norm of column 1 (the H^2
     norm of phi, up to alias and rounding).
     """
@@ -99,7 +97,6 @@ def _grid_power_columns(spec: Symbol, truncation: int):
             f"symbol is not a self-map on the sampling circle (max modulus {top:.6g})"
         )
     unscale = 1.0 / (m * r ** np.arange(truncation))
-    tiny = np.finfo(float).tiny
     rows = min(truncation, max(1, _BLOCK_BYTES // (16 * m)))
     block = np.empty((rows, m), dtype=complex)
     running = np.ones(m, dtype=complex)
@@ -112,8 +109,7 @@ def _grid_power_columns(spec: Symbol, truncation: int):
         for i in range(1, b):
             np.multiply(block[i - 1], values, out=block[i])
         running[:] = block[b - 1]
-        running[np.abs(running) < tiny] = 0.0
-        # in place: allocating a fresh output per block cost more than the FFT
+        # in place (needs numpy >= 2.0): a fresh output per block cost more than the FFT
         cols = np.fft.fft(block[:b], axis=1, out=block[:b])[:, :truncation] * unscale
         if k0 <= 1 < k0 + b:
             norm = float(np.linalg.norm(cols[1 - k0]))

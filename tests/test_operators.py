@@ -36,8 +36,8 @@ HALF = ExplicitSeries(PowerSeries([0, 0.5]))
 
 
 def _per_column_reference(spec, truncation):
-    """Coefficients of phi^k below degree K for k < K, one FFT per column
-    and no flush of small samples: the circle transform as a plain loop."""
+    """Coefficients of phi^k below degree K for k < K, one FFT per column:
+    the circle transform as a plain loop."""
     r = default_radius(truncation - 1)
     m = default_sample_count(truncation - 1)
     values = np.asarray(spec.evaluate(_circle_nodes(r, m)), dtype=complex)
@@ -138,13 +138,13 @@ def test_oracle_size_guard():
 
 def test_hs_partial_sum_half_map():
     # at K = 2048 every sample of (z/2)^k lies below the smallest normal
-    # float64 past k ~ 1016, so the flush zeroes all of them
+    # float64 past k ~ 1016, so the blocks past it transform subnormals
     for truncation in (64, 2048):
         rep = hs_norm_sq(HALF, truncation)
         assert abs(rep.partial - 4.0 / 3.0) < 1e-12
         assert rep.trend == "converging"
     reference = np.stack(_per_column_reference(HALF, 2048), axis=1)
-    assert np.max(np.abs(build_matrix(HALF, 2048).entries - reference)) < 1e-300
+    assert np.array_equal(build_matrix(HALF, 2048).entries, reference)
 
 
 def test_hs_trend_shapiro_taylor_dichotomy():
@@ -197,12 +197,6 @@ class _WideLine(Symbol):
         return 0.8 + 0.8 * z
 
 
-def test_column_one_check_fires_only_when_column_one_exists():
-    assert np.array_equal(build_matrix(_WideLine(), 1).entries, [[1.0]])
-    with pytest.raises(SingularEvaluationError, match="l2 norm 1.13"):
-        build_matrix(_WideLine(), 2)
-
-
 def test_columns_reject_a_map_that_leaves_the_disk_off_the_circle():
     spec = _HighPeak()
     circle = 0.9 * (1.0 + math.exp(-8.0 / 63.0) ** 20)
@@ -211,6 +205,10 @@ def test_columns_reject_a_map_that_leaves_the_disk_off_the_circle():
         build_matrix(spec, 64)
     with pytest.raises(SingularEvaluationError, match="l2 norm 1.27"):
         hs_norm_sq(spec, 64)
+    # K = 2 is the first truncation with a column 1 to check; K = 1 has none
+    with pytest.raises(SingularEvaluationError, match="l2 norm 1.13"):
+        build_matrix(_WideLine(), 2)
+    assert np.array_equal(build_matrix(_WideLine(), 1).entries, [[1.0]])
 
 
 def test_kernel_ratio_at_origin():
