@@ -15,7 +15,6 @@ from .symbols import (
     Cusp,
     ExplicitSeries,
     Identity,
-    KernelPoint,
     Lens,
     PolydiskMap,
     Rotation,
@@ -28,7 +27,6 @@ from .symbols import (
 )
 from .carleson import CarlesonProfile, rho_profile
 from .operators import (
-    OperatorMatrix,
     SizeGuardError,
     build_matrix,
     hs_norm_sq,

@@ -26,10 +26,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--out", default="runs", help="output directory root")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--k", type=int, default=None, help="matrix truncation")
-    parser.add_argument("--n-dim", type=int, default=None, help="polydisk dimension")
     parser.add_argument("--samples", type=int, default=None, help="sample count")
-    parser.add_argument("--theta", type=float, default=None, help="symbol parameter")
     parser.add_argument(
         "--json", action="store_true", help="print a machine-readable summary to stdout"
     )
@@ -42,10 +39,7 @@ def main(argv=None) -> int:
         experiment=args.experiment,
         out=args.out,
         seed=args.seed,
-        k=args.k,
-        n_dim=args.n_dim,
         samples=args.samples,
-        theta=args.theta,
     )
     try:
         manifest = run(config)

@@ -54,7 +54,6 @@ from .symbols import (
     CROSSCHECK_BOUNDARY_RADIUS,
     BlaschkeSquare,
     Cusp,
-    KernelPoint,
     Lens,
     PolydiskMap,
     ShapiroTaylor,
@@ -86,10 +85,7 @@ class ExperimentConfig:
     experiment: str
     out: str = "runs"
     seed: int = 0
-    k: int | None = None
-    n_dim: int | None = None
     samples: int | None = None
-    theta: float | None = None
 
     def public(self) -> dict:
         return asdict(self)
@@ -154,11 +150,9 @@ def _fmt(value) -> str:
 
 
 def _exp_cusp_diagonal(rec: _Recorder):
-    cfg = rec.config
-    truncation = cfg.k or 1024
-    dims = [cfg.n_dim] if cfg.n_dim else [1, 2, 3]
+    truncation = 1024
     # the N-sweep scales the N = 1 columns instead of extracting them again
-    base = build_matrix(Cusp(), truncation).entries
+    base = build_matrix(Cusp(), truncation)
     profile = rho_profile(Cusp(), samples=1 << 18)
     # mandatory boundary-radius cross-check: derived measures must be stable
     crosscheck = rho_profile(Cusp(), samples=1 << 18, r_b=CROSSCHECK_BOUNDARY_RADIUS)
@@ -174,11 +168,10 @@ def _exp_cusp_diagonal(rec: _Recorder):
         f"max shift {radius_gap:.2e} between r_b=1-1e-8 and 1-1e-6",
     )
     fits = []
-    for dim in dims:
+    for dim in (1, 2, 3):
         spec = singular_values(base * multiplicity_weights(truncation, dim))
-        n_hi = min(300, truncation)
-        fit = decay_fit(spec, "stretched_exp", (20, n_hi))
-        rows = [(n, spec.a(n)) for n in range(1, min(400, truncation) + 1)]
+        fit = decay_fit(spec, "stretched_exp", (20, 300))
+        rows = [(n, spec.a(n)) for n in range(1, 401)]
         rec.table(f"spectrum_n{dim}", ["n", "s_n"], rows)
         fits.append(
             (
@@ -222,8 +215,7 @@ def kernel_sweep(poly: PolydiskMap):
     rows = []
     for j in range(1, 31):
         r = 1.0 - 2.0**-j
-        point = KernelPoint((r,) + (0.0,) * (poly.dimension - 1))
-        rows.append((j, r, kernel_ratio(poly, point)))
+        rows.append((j, r, kernel_ratio(poly, (r,) + (0.0,) * (poly.dimension - 1))))
     return rows
 
 
@@ -339,10 +331,8 @@ def witness_growth(points: int):
 
 
 def _exp_lens_trichotomy(rec: _Recorder):
-    cfg = rec.config
-    dim = cfg.n_dim or 2
-    thetas = [cfg.theta] if cfg.theta else [0.5 / dim, 1.0 / dim, 2.0 / dim]
-    for theta in thetas:
+    dim = 2
+    for theta in (0.25, 0.5, 1.0):
         poly = PolydiskMap.diagonal(Lens(theta), dim)
         rows = kernel_sweep(poly)
         rec.table(
@@ -367,13 +357,12 @@ def _exp_lens_trichotomy(rec: _Recorder):
                 f"slope={slope:.4f} min/median={ratios.min() / np.median(ratios):.3f}",
             )
         else:
-            truncation = cfg.k or 512
-            spec = singular_values(build_matrix(Lens(theta), truncation, dim))
-            fit = decay_fit(spec, "stretched_exp", (20, min(200, truncation)))
+            spec = singular_values(build_matrix(Lens(theta), 512, dim))
+            fit = decay_fit(spec, "stretched_exp", (20, 200))
             rec.table(
                 f"spectrum_theta{theta:.4f}".replace(".", "p"),
                 ["n", "s_n"],
-                [(n, spec.a(n)) for n in range(1, min(300, truncation) + 1)],
+                [(n, spec.a(n)) for n in range(1, 301)],
             )
             rec.check(
                 f"theta={theta:g}: compact sqrt-exponential decay",
@@ -383,13 +372,9 @@ def _exp_lens_trichotomy(rec: _Recorder):
 
 
 def _exp_tensor_lemma(rec: _Recorder):
-    cfg = rec.config
-    pairs = [(2.0, 1.0), (1.5, 2.25)]
-    if cfg.n_dim and cfg.n_dim >= 3:
-        pairs.append((2.0, float(cfg.n_dim - 2)))
     m_rows = []
     nu_rows = []
-    for a_exp, b_exp in pairs:
+    for a_exp, b_exp in ((2.0, 1.0), (1.5, 2.25)):
         report = tensor_lemma_report(a_exp, b_exp, n_max=30)
         m_rows.append((a_exp, b_exp, report.m_const, int(report.passed)))
         for n in range(2, 31):
@@ -413,7 +398,7 @@ def _exp_tensor_lemma(rec: _Recorder):
     rec.check("direct merge bound A=2 B=1", ok, f"M={m_const}")
 
     # merged spectra agree with Kronecker-product singular values
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(rec.config.seed)
     worst = kronecker_gap([rng] * 10)  # ten pairs drawn in turn from one generator
     rec.check("merge equals Kronecker SVD", worst < 1e-10, f"max gap {worst:.2e}")
 
@@ -551,8 +536,7 @@ def _exp_blaschke_passage(rec: _Recorder):
 
 
 def _exp_polydisk_pairs(rec: _Recorder):
-    cfg = rec.config
-    dim = cfg.n_dim or 3
+    dim = 3
 
     # item 1: exact unboundedness witness, ratio ~ n^(1/4)
     ns, witnesses, slope = witness_growth(25)
@@ -603,59 +587,52 @@ def _exp_polydisk_pairs(rec: _Recorder):
     )
 
     # item 3: tensor route with the schedule eps_n = n^(-1/(4N-7))
-    if dim >= 3:
-        eps = Schedule.epsilon_tensor(dim)
-        delta = Schedule.delta_from_epsilon(eps, n_max=4096)
-        n_probe = np.array([16, 64, 256, 1024])
-        eps_vals = eps.epsilon(n_probe)
-        # grid must contain the probe values eps_n so the infimum reaches
-        # the adjusted choice h = eps_n
-        h_grid = np.unique(np.concatenate([np.geomspace(0.9, 1e-3, 25), eps_vals]))[::-1]
-        route_profile = CarlesonProfile.synthetic(
-            h_grid, lambda h: min(h * float(delta.delta(h)) ** 2, 1.0)
-        )
-        plain = np.array([upper_bound_plain(route_profile, int(n)) for n in n_probe])
-        target = 2.0 * np.exp(-n_probe * eps_vals)
-        rec.table(
-            "schedule_route",
-            ["n", "eps_n", "plain_bound", "schedule_target"],
-            [
-                (int(n), e, b, tt)
-                for n, e, b, tt in zip(n_probe, eps_vals, plain, target)
-            ],
-        )
-        rec.check(
-            "schedule-calibrated bound",
-            bool(np.all(plain <= target * (1.0 + 1e-9))),
-            "plain bound within 2 e^{-n eps_n}",
-        )
-        a_exp, b_exp = 1.5, dim - 7.0 / 4.0
-        report = tensor_lemma_report(a_exp, b_exp, n_max=20)
-        rec.check(
-            f"tensor rank bound A=3/2 B=N-7/4 (N={dim})",
-            report.passed,
-            f"M={report.m_const}",
-        )
-        decay_exp = 4.0 / (4.0 * dim - 1.0)
-        synth = np.exp(-np.arange(1, 4001, dtype=float) ** decay_exp)
-        b_small = beta_estimate(synth, dim, (100, 400)).beta_plus_hat
-        b_large = beta_estimate(synth, dim, (2000, 4000)).beta_plus_hat
-        rec.check(
-            "merged route beta -> 0 (item 3)",
-            b_large < b_small,
-            f"{b_small:.3f} -> {b_large:.3f}",
-        )
+    eps = Schedule.epsilon_tensor(dim)
+    delta = Schedule.delta_from_epsilon(eps, n_max=4096)
+    n_probe = np.array([16, 64, 256, 1024])
+    eps_vals = eps.epsilon(n_probe)
+    # grid must contain the probe values eps_n so the infimum reaches
+    # the adjusted choice h = eps_n
+    h_grid = np.unique(np.concatenate([np.geomspace(0.9, 1e-3, 25), eps_vals]))[::-1]
+    route_profile = CarlesonProfile.synthetic(
+        h_grid, lambda h: min(h * float(delta.delta(h)) ** 2, 1.0)
+    )
+    plain = np.array([upper_bound_plain(route_profile, int(n)) for n in n_probe])
+    target = 2.0 * np.exp(-n_probe * eps_vals)
+    rec.table(
+        "schedule_route",
+        ["n", "eps_n", "plain_bound", "schedule_target"],
+        [(int(n), e, b, tt) for n, e, b, tt in zip(n_probe, eps_vals, plain, target)],
+    )
+    rec.check(
+        "schedule-calibrated bound",
+        bool(np.all(plain <= target * (1.0 + 1e-9))),
+        "plain bound within 2 e^{-n eps_n}",
+    )
+    a_exp, b_exp = 1.5, dim - 7.0 / 4.0
+    report = tensor_lemma_report(a_exp, b_exp, n_max=20)
+    rec.check(
+        f"tensor rank bound A=3/2 B=N-7/4 (N={dim})",
+        report.passed,
+        f"M={report.m_const}",
+    )
+    decay_exp = 4.0 / (4.0 * dim - 1.0)
+    synth = np.exp(-np.arange(1, 4001, dtype=float) ** decay_exp)
+    b_small = beta_estimate(synth, dim, (100, 400)).beta_plus_hat
+    b_large = beta_estimate(synth, dim, (2000, 4000)).beta_plus_hat
+    rec.check(
+        "merged route beta -> 0 (item 3)",
+        b_large < b_small,
+        f"{b_small:.3f} -> {b_large:.3f}",
+    )
 
     # item 4: Shapiro-Taylor pair.  Finite sections are lower bounds whose
     # beta windows underestimate badly at desk scale, so the section
     # windows are reported as data while the beta contrast is asserted on
     # the decay laws themselves (n^(-theta/2) vs exp(-c n^(2/3))).
-    truncation = cfg.k or 512
     theta = 2.0
-    spec = singular_values(build_matrix(ShapiroTaylor(theta), truncation))
-    beta_windows = [
-        beta_estimate(spec, dim, (m // 2, m)) for m in (64, 128, 256, min(400, truncation))
-    ]
+    spec = singular_values(build_matrix(ShapiroTaylor(theta), 512))
+    beta_windows = [beta_estimate(spec, dim, (m // 2, m)) for m in (64, 128, 256, 400)]
     rec.table(
         "shapiro_taylor_beta_sections",
         ["window_hi", "beta_minus", "beta_plus"],
@@ -686,22 +663,18 @@ def _exp_polydisk_pairs(rec: _Recorder):
 
 
 def _exp_shapiro_taylor(rec: _Recorder):
-    cfg = rec.config
-    truncation = cfg.k or 512
-    hs_truncation = max(truncation, 2048)
     fit_rows = []
     for theta in (1.5, 2.0, 3.0):
-        spec = singular_values(build_matrix(ShapiroTaylor(theta), truncation))
+        spec = singular_values(build_matrix(ShapiroTaylor(theta), 512))
         rec.table(
             f"spectrum_theta{theta:g}".replace(".", "p"),
             ["n", "s_n"],
-            [(n, spec.a(n)) for n in range(1, min(300, truncation) + 1)],
+            [(n, spec.a(n)) for n in range(1, 301)],
         )
         # poly fits are emitted as data; sections are lower bounds of a_n
         # and cannot witness the two-sided polynomial law at this scale
-        fit = decay_fit(spec, "poly", (20, min(200, truncation)))
-        n_rng = np.arange(20, min(200, truncation) + 1)
-        scaled = n_rng ** (theta / 2.0) * spec.values[19 : min(200, truncation)]
+        fit = decay_fit(spec, "poly", (20, 200))
+        scaled = np.arange(20, 201) ** (theta / 2.0) * spec.values[19:200]
         fit_rows.append((theta, fit.params["power"], fit.r_squared, float(scaled.min())))
         rec.check(
             f"theta={theta:g}: compact spectrum collapses",
@@ -712,7 +685,7 @@ def _exp_shapiro_taylor(rec: _Recorder):
 
     hs_rows = []
     for theta, expected in ((1.5, "diverging"), (2.0, None), (3.0, "converging")):
-        report = hs_norm_sq(ShapiroTaylor(theta), hs_truncation)
+        report = hs_norm_sq(ShapiroTaylor(theta), 2048)
         hs_rows.append((theta, report.partial, report.trend))
         if expected:
             rec.check(

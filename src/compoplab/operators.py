@@ -25,10 +25,9 @@ from scipy.special import gammaln
 
 from .series import MAX_ORDER, _circle_nodes, default_radius, default_sample_count
 from .spectra import SingularSpectrum, classify_series_convergence
-from .symbols import KernelPoint, PolydiskMap, SingularEvaluationError, Symbol
+from .symbols import PolydiskMap, SingularEvaluationError, Symbol
 
 __all__ = [
-    "OperatorMatrix",
     "SizeGuardError",
     "HsReport",
     "WitnessNorms",
@@ -46,25 +45,6 @@ ORACLE_SIZE_CAP = 3000
 
 class SizeGuardError(ValueError):
     """A brute-force construction would exceed its size envelope."""
-
-
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Finite section of a composition operator in orthonormal bases."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
-        if m.ndim != 2:
-            raise ValueError("entries must be a 2-d matrix")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("matrix entries must be finite")
-        object.__setattr__(self, "entries", m)
-
-    @property
-    def shape(self):
-        return self.entries.shape
 
 
 # Bytes of samples per batched FFT call: 4 power rows at K = 2048, 8 at K = 1024.
@@ -132,7 +112,7 @@ def multiplicity_weights(truncation: int, dimension: int) -> np.ndarray:
     return np.exp(0.5 * (gammaln(k + n) - gammaln(k + 1.0) - gammaln(n)))
 
 
-def build_matrix(spec: Symbol, truncation: int, dimension: int = 1) -> OperatorMatrix:
+def build_matrix(spec: Symbol, truncation: int, dimension: int = 1) -> np.ndarray:
     """K x K matrix of C_Phi for Phi = (phi(z_1), ..., phi(z_1)) on H^2(D^N).
 
     Column k is sqrt(C(k+N-1, N-1)) times the coefficients of phi^k; at
@@ -152,7 +132,7 @@ def build_matrix(spec: Symbol, truncation: int, dimension: int = 1) -> OperatorM
     entries = np.empty((truncation, truncation), dtype=complex)
     for k0, cols in _grid_power_columns(spec, truncation):
         entries[:, k0 : k0 + len(cols)] = (cols * weights[k0 : k0 + len(cols), None]).T
-    return OperatorMatrix(entries)
+    return entries
 
 
 def multi_indices(dimension: int, degree_cap: int):
@@ -170,7 +150,7 @@ def multi_indices(dimension: int, degree_cap: int):
     return out
 
 
-def multi_index_oracle(poly: PolydiskMap, degree_cap: int) -> OperatorMatrix:
+def multi_index_oracle(poly: PolydiskMap, degree_cap: int) -> np.ndarray:
     """Brute-force section of C_Phi on the monomial basis {z^alpha : |alpha| <= D}.
 
     Entry (beta, alpha) is the coefficient of z^beta in
@@ -211,7 +191,7 @@ def multi_index_oracle(poly: PolydiskMap, degree_cap: int) -> OperatorMatrix:
                 factor[0] = 1.0
             column = column * factor[beta_mat[:, src - 1]]
         entries[:, col] = column
-    return OperatorMatrix(entries)
+    return entries
 
 
 @dataclass(frozen=True)
@@ -243,20 +223,21 @@ def hs_norm_sq(spec: Symbol, truncation: int) -> HsReport:
     return HsReport(partial=float(norms.sum()), trend=trend)
 
 
-def kernel_ratio(poly: PolydiskMap, point: KernelPoint) -> float:
-    """||C_Phi* K_a|| / ||K_a|| for a polydisk reproducing kernel at a.
+def kernel_ratio(poly: PolydiskMap, point) -> float:
+    """||C_Phi* K_a|| / ||K_a|| for a polydisk reproducing kernel at the
+    point a = (a_1, ..., a_N), a sequence of coordinates.
 
     C_Phi* K_a = K_{Phi(a)} and ||K_b||^2 = prod_j 1/(1-|b_j|^2), so the
     ratio is sqrt(prod_j (1-|a_j|^2) / prod_j (1-|m_j(a_{src_j})|^2)).
     """
     if len(point) != poly.dimension:
         raise ValueError("kernel point dimension does not match the map")
-    if any(abs(v) >= 1.0 - 1e-12 for v in point.values):
+    if any(abs(v) >= 1.0 - 1e-12 for v in point):
         raise ValueError("kernel point too close to the boundary for float safety")
-    log_num = sum(math.log1p(-abs(v) ** 2) for v in point.values)
+    log_num = sum(math.log1p(-abs(v) ** 2) for v in point)
     log_den = 0.0
     for src, spec in poly.coords:
-        w = spec.evaluate(point.values[src - 1])
+        w = spec.evaluate(point[src - 1])
         gap = 1.0 - abs(w) ** 2
         if gap <= 0.0:
             raise SingularEvaluationError("image point reached the boundary")

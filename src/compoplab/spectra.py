@@ -91,17 +91,16 @@ class SingularSpectrum:
 
 def singular_values(matrix) -> SingularSpectrum:
     """Singular values of a finite section (lower bounds of a_n)."""
-    entries = getattr(matrix, "entries", matrix)
-    entries = np.asarray(entries)
+    matrix = np.asarray(matrix)
     try:
-        s = np.linalg.svd(entries, compute_uv=False)
+        s = np.linalg.svd(matrix, compute_uv=False)
     except np.linalg.LinAlgError as exc:
-        finite = bool(np.all(np.isfinite(entries)))
+        finite = bool(np.all(np.isfinite(matrix)))
         raise SvdError(
-            f"SVD did not converge on a {entries.shape} section "
-            f"(finite={finite}, max|entry|={np.max(np.abs(entries)):.3g})"
+            f"SVD did not converge on a {matrix.shape} section "
+            f"(finite={finite}, max|entry|={np.max(np.abs(matrix)):.3g})"
         ) from exc
-    return SingularSpectrum(s, truncation=entries.shape[0], semantics="lower_bound_of_a_n")
+    return SingularSpectrum(s, truncation=matrix.shape[0], semantics="lower_bound_of_a_n")
 
 
 def _as_array(spectrum) -> np.ndarray:

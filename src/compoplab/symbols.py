@@ -33,7 +33,6 @@ __all__ = [
     "Compose",
     "ExplicitSeries",
     "PolydiskMap",
-    "KernelPoint",
     "blaschke_contraction_ratio",
     "shipped_symbols",
 ]
@@ -335,24 +334,6 @@ class PolydiskMap:
         for j, (src, spec) in enumerate(self.coords):
             out[..., j] = spec.evaluate(z[..., src - 1])
         return out
-
-
-@dataclass(frozen=True)
-class KernelPoint:
-    """Node (a_1, ..., a_N) of a polydisk reproducing kernel, all |a_j| < 1."""
-
-    values: tuple
-
-    def __post_init__(self):
-        vals = tuple(complex(v) for v in self.values)
-        if not vals:
-            raise ValueError("kernel point needs at least one coordinate")
-        if any(abs(v) >= 1.0 for v in vals):
-            raise ValueError("kernel point coordinates must lie strictly inside the disk")
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self):
-        return len(self.values)
 
 
 def blaschke_contraction_ratio(a: float, z: complex) -> float:

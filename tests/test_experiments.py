@@ -1,10 +1,12 @@
+import ast
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from compoplab.cli import main
+from compoplab.cli import build_parser, main
 from compoplab.experiments import REGISTRY, Assertion, ExperimentConfig, run
 
 
@@ -104,3 +106,33 @@ def test_assertions_recorded_in_manifest(tmp_path):
     doc = json.loads((Path(manifest.out_dir) / "manifest.json").read_text())
     assert doc["assertions"] == manifest.assertions
     assert doc["config"]["samples"] == 20000
+
+
+def _config_callers() -> set:
+    """Config fields some caller sets: an `ExperimentConfig(...)` keyword in
+    tests/, or a `--flag` in a literal argv list in tests/ or perfbench/."""
+    root = Path(__file__).resolve().parent.parent
+    paths = [*(root / "tests").glob("*.py"), *(root / "perfbench").rglob("*.py")]
+    set_fields = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ExperimentConfig":
+                set_fields |= {kw.arg for kw in node.keywords if kw.arg}
+            elif isinstance(node, ast.List):
+                set_fields |= {
+                    elt.value[2:].replace("-", "_")
+                    for elt in node.elts
+                    if isinstance(elt, ast.Constant)
+                    and isinstance(elt.value, str)
+                    and elt.value.startswith("--")
+                }
+    return set_fields
+
+
+def test_every_config_field_has_a_caller_and_every_flag_a_field():
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    unset = sorted(fields - {"experiment", "out"} - _config_callers())
+    assert not unset, f"ExperimentConfig fields no caller outside the CLI sets: {unset}"
+    # --json selects the output format and is not part of the configuration
+    dests = {a.dest for a in build_parser()._actions if a.option_strings} - {"help", "json"}
+    assert dests == fields

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 import compoplab as C
@@ -21,7 +23,6 @@ from compoplab.symbols import (
     Cusp,
     ExplicitSeries,
     Identity,
-    KernelPoint,
     Lens,
     PolydiskMap,
     Rotation,
@@ -53,20 +54,20 @@ def _per_column_reference(spec, truncation):
 
 def test_identity_matrix():
     m = build_matrix(Identity(), 16)
-    assert np.max(np.abs(m.entries - np.eye(16))) < 1e-12
+    assert np.max(np.abs(m - np.eye(16))) < 1e-12
 
 
 def test_half_map_matrix_is_geometric_diagonal():
     m = build_matrix(HALF, 24)
     expected = np.diag(2.0 ** -np.arange(24))
-    assert np.max(np.abs(m.entries - expected)) < 1e-12
+    assert np.max(np.abs(m - expected)) < 1e-12
 
 
 def test_rotation_matrix_is_unitary_diagonal():
     alpha = 0.73
     m = build_matrix(Rotation(alpha), 16)
     expected = np.diag(np.exp(1j * alpha * np.arange(16)))
-    assert np.max(np.abs(m.entries - expected)) < 1e-12
+    assert np.max(np.abs(m - expected)) < 1e-12
 
 
 def test_diagonal_polydisk_dimension_one_is_plain_matrix():
@@ -74,7 +75,7 @@ def test_diagonal_polydisk_dimension_one_is_plain_matrix():
         assert np.all(multiplicity_weights(k, 1) == 1.0)
     a = build_matrix(Lens(0.25), 32)
     b = build_matrix(Lens(0.25), 32, dimension=1)
-    assert np.array_equal(a.entries, b.entries)
+    assert np.array_equal(a, b)
     with pytest.raises(ValueError):
         build_matrix(Lens(0.25), 32, dimension=0)
 
@@ -83,7 +84,7 @@ def test_diagonal_polydisk_half_map_closed_form():
     m = build_matrix(HALF, 16, 2)
     k = np.arange(16)
     expected = np.diag(2.0**-k * np.sqrt(k + 1.0))
-    assert np.max(np.abs(m.entries - expected)) < 1e-12
+    assert np.max(np.abs(m - expected)) < 1e-12
     s = singular_values(m)
     assert s.a(1) == pytest.approx(1.0, abs=1e-12)
     assert s.a(2) == pytest.approx(math.sqrt(2.0) / 2.0, abs=1e-12)
@@ -93,7 +94,7 @@ def test_diagonal_polydisk_half_map_closed_form():
 def test_multi_index_oracle_identity_map():
     poly = PolydiskMap(2, ((1, Identity()), (2, Identity())))
     m = multi_index_oracle(poly, 3)
-    assert np.max(np.abs(m.entries - np.eye(m.shape[0]))) < 1e-10
+    assert np.max(np.abs(m - np.eye(m.shape[0]))) < 1e-10
 
 
 def test_oracle_matches_diagonal_reduction_half_map():
@@ -144,7 +145,7 @@ def test_hs_partial_sum_half_map():
         assert abs(rep.partial - 4.0 / 3.0) < 1e-12
         assert rep.trend == "converging"
     reference = np.stack(_per_column_reference(HALF, 2048), axis=1)
-    assert np.array_equal(build_matrix(HALF, 2048).entries, reference)
+    assert np.array_equal(build_matrix(HALF, 2048), reference)
 
 
 def test_hs_trend_shapiro_taylor_dichotomy():
@@ -180,13 +181,13 @@ class _HighPeak(Symbol):
 )
 def test_blocked_columns_match_the_per_column_loop(spec, truncation):
     cols = _per_column_reference(spec, truncation)
-    assert np.array_equal(build_matrix(spec, truncation).entries, np.stack(cols, axis=1))
+    assert np.array_equal(build_matrix(spec, truncation), np.stack(cols, axis=1))
     if truncation >= 64:
         norms = np.array([np.sum(np.abs(col) ** 2) for col in cols])
         assert hs_norm_sq(spec, truncation).partial == float(norms.sum())
     if truncation <= 512:
         oracle = multi_index_oracle(PolydiskMap(1, ((1, spec),)), truncation - 1)
-        assert np.array_equal(oracle.entries, np.stack(cols, axis=1))
+        assert np.array_equal(oracle, np.stack(cols, axis=1))
 
 
 class _WideLine(Symbol):
@@ -208,24 +209,25 @@ def test_columns_reject_a_map_that_leaves_the_disk_off_the_circle():
     # K = 2 is the first truncation with a column 1 to check; K = 1 has none
     with pytest.raises(SingularEvaluationError, match="l2 norm 1.13"):
         build_matrix(_WideLine(), 2)
-    assert np.array_equal(build_matrix(_WideLine(), 1).entries, [[1.0]])
+    assert np.array_equal(build_matrix(_WideLine(), 1), [[1.0]])
 
 
 def test_kernel_ratio_at_origin():
     poly = PolydiskMap.diagonal(Lens(0.5), 3)
-    assert kernel_ratio(poly, KernelPoint((0.0, 0.0, 0.0))) == pytest.approx(1.0)
+    assert kernel_ratio(poly, (0.0, 0.0, 0.0)) == pytest.approx(1.0)
 
 
 def test_kernel_ratio_identity_map_closed_form():
     poly = PolydiskMap(2, ((1, Identity()), (2, Identity())))
     r = 0.9
-    assert kernel_ratio(poly, KernelPoint((r, 0.0))) == pytest.approx(1.0, abs=1e-12)
+    assert kernel_ratio(poly, (r, 0.0)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_kernel_ratio_rejects_near_boundary():
     poly = PolydiskMap.diagonal(Identity(), 2)
-    with pytest.raises(ValueError):
-        kernel_ratio(poly, KernelPoint((1 - 1e-13, 0.0)))
+    for point in ((1 - 1e-13, 0.0), (1.0, 0.0)):
+        with pytest.raises(ValueError):
+            kernel_ratio(poly, point)
 
 
 def test_kernel_ratio_critical_band_and_supercritical_slope():
@@ -233,12 +235,12 @@ def test_kernel_ratio_critical_band_and_supercritical_slope():
         critical = PolydiskMap.diagonal(Lens(1.0 / dim), dim)
         js = np.arange(1, 31)
         band = np.array(
-            [kernel_ratio(critical, KernelPoint((1 - 2.0**-j,) + (0,) * (dim - 1))) for j in js]
+            [kernel_ratio(critical, (1 - 2.0**-j,) + (0,) * (dim - 1)) for j in js]
         )
         assert band.min() >= 0.5 * np.median(band)
         sup = PolydiskMap.diagonal(Lens(2.0 / dim) if dim > 2 else Lens(1.0), dim)
         ratios = np.array(
-            [kernel_ratio(sup, KernelPoint((1 - 2.0**-j,) + (0,) * (dim - 1))) for j in js]
+            [kernel_ratio(sup, (1 - 2.0**-j,) + (0,) * (dim - 1)) for j in js]
         )
         mask = js >= 10
         slope = linear_fit(js[mask] * math.log(2.0), np.log(ratios[mask]))[0]
@@ -277,6 +279,28 @@ def test_kernel_lower_bound_lens_norm_and_second_value():
     assert bound.a(1) == pytest.approx(1.0, abs=1e-6)
     section = singular_values(build_matrix(Lens(0.5), 1024))
     assert bound.a(2) == pytest.approx(section.a(2), rel=1e-5)
+
+
+# polynomials of degree <= 3 with coefficient l1 norm at most 0.8: no
+# boundary contact, so the K = 256 section has converged to a_n
+def _polynomial_of_l1_norm(coeffs, l1):
+    return ExplicitSeries(PowerSeries(np.array(coeffs) * (l1 / sum(map(abs, coeffs)))))
+
+
+_COEFF = st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+_SMALL_POLYNOMIALS = st.builds(
+    _polynomial_of_l1_norm,
+    st.lists(_COEFF, min_size=1, max_size=4).filter(lambda c: sum(map(abs, c)) >= 1e-3),
+    st.floats(0.05, 0.8),
+)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(_SMALL_POLYNOMIALS)
+def test_kernel_lower_bound_stays_below_converged_sections(spec):
+    bound = kernel_lower_bound(spec, strip_lattice(-8.0, 8.0, 0.5, (0.0, 0.6, -0.6, 1.1, -1.1)))
+    section = singular_values(build_matrix(spec, 256))
+    assert np.all(bound.values <= section.values[: len(bound)] + bound.floor)
 
 
 def _reference_values(alpha, beta, count):
@@ -376,10 +400,10 @@ def test_norm_bounded_by_classical_envelope(roster):
 def test_reweight_matches_direct_build():
     # the N-sweeps scale the N = 1 entries; that must be the direct build bit for bit
     for spec in (Cusp(), Lens(0.25)):
-        base = build_matrix(spec, 48).entries
+        base = build_matrix(spec, 48)
         for dim in (2, 3, 5):
             direct = build_matrix(spec, 48, dim)
-            assert np.array_equal(direct.entries, base * multiplicity_weights(48, dim))
+            assert np.array_equal(direct, base * multiplicity_weights(48, dim))
 
 
 def test_build_rejects_non_self_map():

@@ -12,7 +12,6 @@ from compoplab.symbols import (
     BlaschkeSquare,
     Cusp,
     Identity,
-    KernelPoint,
     Lens,
     PolydiskMap,
     Scalar,
@@ -169,8 +168,6 @@ def test_parameter_validation():
         ShapiroTaylor(-2.0)
     with pytest.raises(ValueError):
         Scalar(2.0)
-    with pytest.raises(ValueError):
-        KernelPoint((1.0,))
     with pytest.raises(ValueError):
         PolydiskMap(2, ((3, Identity()), (1, Identity())))
     with pytest.raises(ValueError):
