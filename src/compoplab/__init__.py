@@ -38,10 +38,12 @@ from .operators import (
 from .spectra import (
     BetaEstimate,
     DecayFit,
-    Schedule,
     SingularSpectrum,
     beta_estimate,
     decay_fit,
+    delta_from_epsilon,
+    epsilon_power,
+    epsilon_tensor,
     find_M,
     linear_fit,
     nu_count,

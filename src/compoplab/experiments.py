@@ -36,9 +36,11 @@ from .operators import (
     unboundedness_witness,
 )
 from .spectra import (
-    Schedule,
     beta_estimate,
     decay_fit,
+    delta_from_epsilon,
+    epsilon_power,
+    epsilon_tensor,
     extremal_spectrum,
     find_M,
     linear_fit,
@@ -303,10 +305,10 @@ def tail_slope(ys, tails):
 
 
 def level_constant(region: GraphChannel, hs, levels, tol: float):
-    """(shape e^(5 pi - g(2h)), level probabilities, fitted constant c_hat,
+    """(shape e^(alpha - g(2h)), level probabilities, fitted constant c_hat,
     whether every probability is at most max(c_hat, 1) * shape + tol)."""
     g2h = np.array([float(region.g(np.array([2.0 * h]))[0]) for h in hs])
-    shape = np.exp(5.0 * math.pi - g2h)
+    shape = np.exp(region.alpha - g2h)
     probs = np.array([e.probability for e in levels])
     with np.errstate(divide="ignore", invalid="ignore"):
         c_hat = float(np.max(np.where(shape > 0, probs / shape, 0.0)))
@@ -461,14 +463,14 @@ def _exp_spiral_harmonic(rec: _Recorder):
     )
 
     # schedule calibration: the default g(t) = pi^2/t satisfies
-    # e^{g(t)} >= C e^{5pi}/delta(t/2) exactly where pi^2/t - 5pi + log delta(t/2)
-    # >= log C; for any target schedule this pins the usable range of t
-    eps = Schedule.epsilon_power(0.5)
-    delta = Schedule.delta_from_epsilon(eps, n_max=4096)
+    # e^{g(t)} >= C e^{alpha}/delta(t/2) exactly where
+    # pi^2/t - alpha + log delta(t/2) >= log C, alpha = 5pi; for any target
+    # schedule this pins the usable range of t
+    delta = delta_from_epsilon(epsilon_power(0.5), n_max=4096)
     t_grid = np.geomspace(1e-3, 1.0, 40)
     margin = np.array(
         [
-            float(region.g(np.array([t]))[0]) - 5.0 * math.pi + math.log(float(delta.delta(t / 2.0)))
+            float(region.g(np.array([t]))[0]) - region.alpha + math.log(float(delta(t / 2.0)))
             for t in t_grid
         ]
     )
@@ -587,15 +589,15 @@ def _exp_polydisk_pairs(rec: _Recorder):
     )
 
     # item 3: tensor route with the schedule eps_n = n^(-1/(4N-7))
-    eps = Schedule.epsilon_tensor(dim)
-    delta = Schedule.delta_from_epsilon(eps, n_max=4096)
+    eps = epsilon_tensor(dim)
+    delta = delta_from_epsilon(eps, n_max=4096)
     n_probe = np.array([16, 64, 256, 1024])
-    eps_vals = eps.epsilon(n_probe)
+    eps_vals = eps(n_probe)
     # grid must contain the probe values eps_n so the infimum reaches
     # the adjusted choice h = eps_n
     h_grid = np.unique(np.concatenate([np.geomspace(0.9, 1e-3, 25), eps_vals]))[::-1]
     route_profile = CarlesonProfile.synthetic(
-        h_grid, lambda h: min(h * float(delta.delta(h)) ** 2, 1.0)
+        h_grid, lambda h: min(h * float(delta(h)) ** 2, 1.0)
     )
     plain = np.array([upper_bound_plain(route_profile, int(n)) for n in n_probe])
     target = 2.0 * np.exp(-n_probe * eps_vals)

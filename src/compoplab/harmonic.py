@@ -30,7 +30,6 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
-DEFAULT_ALPHA = 5.0 * math.pi
 DEFAULT_BASE = complex(math.pi, 3.0 * math.pi)
 # points per pass of GraphChannel.distance_vector: its ~30 temporaries of
 # this length stay in cache instead of streaming whole-ensemble arrays
@@ -66,17 +65,15 @@ def _default_slope_bound(lo, hi):
 
 @dataclass(frozen=True)
 class DiskRegion:
-    """Test harness: disk of known radius, exact distance function."""
+    """Test harness: the unit disk at the origin, exact distance function."""
 
-    center: complex = 0.0 + 0.0j
-    radius: float = 1.0
     base_point: complex = 0.0 + 0.0j
 
     def contains(self, p) -> np.ndarray:
-        return np.abs(np.asarray(p) - self.center) < self.radius
+        return np.abs(np.asarray(p)) < 1.0
 
     def distance_vector(self, p: np.ndarray) -> np.ndarray:
-        return self.radius - np.abs(p - self.center)
+        return 1.0 - np.abs(p)
 
     def far_mask(self, p: np.ndarray) -> np.ndarray:
         return np.zeros(p.shape, dtype=bool)
@@ -93,7 +90,7 @@ class HalfPlaneRegion:
     returning from |p| ~ 1e6 to hit such a set is O(1e-6).
     """
 
-    base_point: complex = 0.0 + 1.0j
+    base_point = 1j
     cutoff: float = 1e6
 
     def contains(self, p) -> np.ndarray:
@@ -116,14 +113,15 @@ class GraphChannel:
     g and g_slope_bound must accept numpy arrays; g_slope_bound(lo, hi)
     returns a certified bound on sup |g'| over [lo, hi].  Walks past
     x > far_x are scored by the flat channel closed form: exit-top
-    probability (y - g(x))/4pi.
+    probability (y - g(x))/4pi.  The spiral experiment's tail sets are
+    Im w > alpha + 1, 2, 3.
     """
 
     g: Callable = _default_g
     g_slope_bound: Callable = _default_slope_bound
-    alpha: float = DEFAULT_ALPHA
     base_point: complex = DEFAULT_BASE
-    far_x: float = 1e4
+    alpha = 5.0 * math.pi
+    far_x = 1e4
 
     def __post_init__(self):
         grid = np.geomspace(1e-4, 1e6, 64)

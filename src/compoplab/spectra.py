@@ -18,7 +18,6 @@ from scipy.special import beta as beta_integral
 
 __all__ = [
     "SingularSpectrum",
-    "Schedule",
     "DecayFit",
     "BetaEstimate",
     "TensorLemmaReport",
@@ -33,6 +32,9 @@ __all__ = [
     "tensor_lemma_report",
     "upper_bound_plain",
     "upper_bound_weighted",
+    "epsilon_power",
+    "epsilon_tensor",
+    "delta_from_epsilon",
     "beta_estimate",
     "decay_fit",
     "linear_fit",
@@ -42,6 +44,8 @@ __all__ = [
 
 # products per row block of nu_count_bruteforce (2 MB of float64)
 _ORACLE_BLOCK = 1 << 18
+# spectrum semantics, from the strongest claim to the weakest
+_SEMANTICS = ("exact", "lower_bound_of_a_n", "synthetic")
 
 
 class SvdError(RuntimeError):
@@ -73,7 +77,7 @@ class SingularSpectrum:
         if np.any(np.diff(v) > tol):
             raise ValueError("s-numbers must be non-increasing")
         v = np.minimum.accumulate(v)
-        if self.semantics not in ("lower_bound_of_a_n", "exact", "synthetic"):
+        if self.semantics not in _SEMANTICS:
             raise ValueError(f"unknown semantics {self.semantics!r}")
         if not (math.isfinite(self.floor) and self.floor >= 0.0):
             raise ValueError(f"floor must be finite and >= 0, got {self.floor}")
@@ -131,18 +135,18 @@ def tensor_merge(factors: Sequence, n_max: int) -> SingularSpectrum:
     n_max values: the top n products of (A x B) x C only involve the top n
     products of A x B.  Each fold keeps the products s_j t_k with
     j*k <= n_max, which hold its top n_max values (see `_merge_two`).
+    The result carries the weakest semantics of its factors, a bare
+    array counting as synthetic.
     """
     if not factors:
         raise ValueError("need at least one factor spectrum")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     arrays = [_as_array(f) for f in factors]
-    semantics = "exact"
-    for f in factors:
-        if isinstance(f, SingularSpectrum) and f.semantics != "exact":
-            semantics = f.semantics
-        elif not isinstance(f, SingularSpectrum):
-            semantics = "synthetic"
+    semantics = max(
+        (f.semantics if isinstance(f, SingularSpectrum) else "synthetic" for f in factors),
+        key=_SEMANTICS.index,
+    )
     merged = arrays[0][:n_max]
     for nxt in arrays[1:]:
         merged = _merge_two(merged, nxt, n_max)
@@ -205,10 +209,7 @@ def extremal_pair_count(a_exp: float, b_exp: float, n: int) -> int:
     count_b = np.diff(np.floor(np.arange(0, n, dtype=float) ** b_exp).astype(int))
     total = 0
     for p in range(1, n - 1):
-        q_max = n - 1 - p
-        if q_max < 1:
-            break
-        total += int(count_a[p - 1]) * int(count_b[:q_max].sum())
+        total += int(count_a[p - 1]) * int(count_b[: n - 1 - p].sum())
     return total
 
 
@@ -270,76 +271,41 @@ def tensor_lemma_report(a_exp: float, b_exp: float, n_max: int = 30) -> TensorLe
     return TensorLemmaReport(m_const, nu, budget)
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """Decay schedule: either n -> eps_n (positive, decreasing to 0) or
-    h -> delta(h) (non-decreasing, values in (0, 1))."""
+def epsilon_power(beta: float) -> Callable:
+    """n -> eps_n = n^-beta: positive and decreasing to 0."""
+    if beta <= 0:
+        raise ValueError("power must be positive")
+    return lambda n: np.asarray(n, dtype=float) ** (-beta)
 
-    kind: str  # "epsilon_n" | "delta_h"
-    fn: Callable
 
-    def __post_init__(self):
-        if self.kind == "epsilon_n":
-            n = np.array([1, 4, 16, 256, 65536], dtype=float)
-            vals = self.fn(n)
-            if np.any(vals <= 0) or np.any(np.diff(vals) > 0):
-                raise ValueError("epsilon schedule must be positive and non-increasing")
-        elif self.kind == "delta_h":
-            h = np.geomspace(1e-6, 0.9, 25)
-            vals = self.fn(h)
-            if np.any(vals <= 0) or np.any(vals >= 1) or np.any(np.diff(vals) < -1e-15):
-                raise ValueError("delta schedule must be non-decreasing with values in (0,1)")
-        else:
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
+def epsilon_tensor(dimension: int) -> Callable:
+    """n -> eps_n = n^(-1/(4N-7)), the polydisk tensor-route schedule (N >= 2)."""
+    if 4 * dimension - 7 <= 0:
+        raise ValueError("dimension must be >= 2")
+    return epsilon_power(1.0 / (4.0 * dimension - 7.0))
 
-    def epsilon(self, n):
-        if self.kind != "epsilon_n":
-            raise ValueError("not an epsilon schedule")
-        return self.fn(np.asarray(n, dtype=float))
 
-    def delta(self, h):
-        if self.kind != "delta_h":
-            raise ValueError("not a delta schedule")
-        return self.fn(np.asarray(h, dtype=float))
+def delta_from_epsilon(eps: Callable, n_max: int) -> Callable:
+    """h -> delta(h), the step function with delta(eps_n) = e^{-n eps_n}.
 
-    @classmethod
-    def epsilon_power(cls, beta: float) -> "Schedule":
-        """eps_n = n^-beta."""
-        if beta <= 0:
-            raise ValueError("power must be positive")
-        return cls("epsilon_n", lambda n: n ** (-beta))
+    On [eps_n, eps_{n-1}) the value is e^{-n eps_n}; below eps_{n_max}
+    the last value is extended.  The running minimum makes delta
+    non-decreasing (a valid minorant), and the clamp at 1e-300 keeps it
+    positive; every value lies below 1 since n eps_n > 0.
+    """
+    n = np.arange(1, n_max + 1, dtype=float)
+    eps_vals = eps(n)
+    with np.errstate(under="ignore"):
+        levels = np.exp(-n * eps_vals)
+    levels = np.maximum(np.minimum.accumulate(levels), 1e-300)
+    thresholds = eps_vals[::-1]  # increasing
+    levels_rev = levels[::-1]
 
-    @classmethod
-    def epsilon_tensor(cls, dimension: int) -> "Schedule":
-        """eps_n = n^(-1/(4N-7)), the polydisk tensor-route schedule (N >= 2)."""
-        if 4 * dimension - 7 <= 0:
-            raise ValueError("dimension must be >= 2")
-        return cls.epsilon_power(1.0 / (4.0 * dimension - 7.0))
+    def delta(h):
+        idx = np.searchsorted(thresholds, np.asarray(h, dtype=float), side="right")
+        return levels_rev[np.clip(idx, 1, thresholds.size) - 1]
 
-    @classmethod
-    def delta_from_epsilon(cls, eps: "Schedule", n_max: int = 1 << 16) -> "Schedule":
-        """Step function delta with delta(eps_n) = e^{-n eps_n}, non-decreasing.
-
-        On [eps_n, eps_{n-1}) the value is e^{-n eps_n}; below eps_{n_max}
-        the last value is extended (a valid non-decreasing minorant).
-        """
-        n = np.arange(1, n_max + 1, dtype=float)
-        eps_vals = eps.epsilon(n)
-        with np.errstate(under="ignore"):
-            levels = np.exp(-n * eps_vals)
-        if np.any(np.diff(levels) > 0):
-            levels = np.minimum.accumulate(levels)
-        levels = np.maximum(levels, 1e-300)  # keep the step function positive
-        thresholds = eps_vals[::-1]  # increasing
-        levels_rev = levels[::-1]
-
-        def fn(h):
-            h = np.asarray(h, dtype=float)
-            idx = np.searchsorted(thresholds, h, side="right")
-            idx = np.clip(idx, 1, thresholds.size)
-            return levels_rev[idx - 1]
-
-        return cls("delta_h", fn)
+    return delta
 
 
 def _profile_arrays(profile):
@@ -384,10 +350,8 @@ class BetaEstimate:
     window: tuple
 
 
-def beta_estimate(spectrum, dimension: int, window: tuple | None = None) -> BetaEstimate:
+def beta_estimate(spectrum, dimension: int, window: tuple) -> BetaEstimate:
     values = _as_array(spectrum)
-    if window is None:
-        window = (max(1, values.size // 2), values.size)
     lo, hi = window
     if not 1 <= lo <= hi <= values.size:
         raise ValueError(f"window {window} outside available indices 1..{values.size}")
@@ -408,8 +372,7 @@ class DecayFit:
     """Least-squares fit of a decay law in transformed coordinates.
 
     params: stretched_exp -> {log_amplitude, rate, exponent} for
-    s_n ~ C e^{-c n^alpha}; poly -> {log_amplitude, power}; exp_linear ->
-    {log_amplitude, rate}.
+    s_n ~ C e^{-c n^alpha}; poly -> {log_amplitude, power}.
     """
 
     params: dict
@@ -459,9 +422,6 @@ def decay_fit(spectrum, model: str, fit_range: tuple) -> DecayFit:
     if model == "poly":
         slope, intercept, r2 = linear_fit(np.log(n), logs)
         return DecayFit({"log_amplitude": intercept, "power": -slope}, r2, (lo, hi))
-    if model == "exp_linear":
-        slope, intercept, r2 = linear_fit(n, logs)
-        return DecayFit({"log_amplitude": intercept, "rate": -slope}, r2, (lo, hi))
     if model != "stretched_exp":
         raise ValueError(f"unknown decay model {model!r}")
 

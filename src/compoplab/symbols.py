@@ -173,26 +173,20 @@ class Lens(Symbol):
 
 @dataclass(frozen=True)
 class Cusp(Symbol):
-    """Cusp map chi(z) = (w - b)/(w + b) with w = -Log((1-z)/4).
+    """Cusp map chi(z) = (w - 1)/(w + 1) with w = -Log((1-z)/4).
 
     |(1-z)/4| <= 1/2 on the closed disk, so Re w >= log 2 > 0 everywhere
     and the only boundary contact is at z = 1, where
-    1 - chi = 2b/(w + b) gives the contact law
-    |1 - chi*(e^{it})| ~ 2b / log(1/|t|).  That single logarithmic contact
+    1 - chi = 2/(w + 1) gives the contact law
+    |1 - chi*(e^{it})| ~ 2 / log(1/|t|).  That single logarithmic contact
     makes the pullback mass of a boundary window of size h exponentially
-    small (~ e^{-2b/h}).  (A denominator of 2 instead of 4 would create a
+    small (~ e^{-2/h}).  (A denominator of 2 instead of 4 would create a
     second, polynomial contact at z = -1 and destroy this smallness.)
     """
 
-    b: float = 1.0
-
-    def __post_init__(self):
-        if not self.b > 0.0:
-            raise ValueError(f"cusp parameter must be positive, got {self.b}")
-
     def _raw(self, z):
         w = -_principal_log((1.0 - z) / 4.0)
-        return (w - self.b) / (w + self.b)
+        return (w - 1.0) / (w + 1.0)
 
 
 @dataclass(frozen=True)
@@ -221,11 +215,6 @@ def _half_disk_map(z: np.ndarray) -> np.ndarray:
     return (s - 1j) / (-1j * s + 1.0)
 
 
-def default_shapiro_taylor_eps(theta: float) -> float:
-    """min(1/2, e^{-2 theta}): keeps z(-log z)^theta a self-map factory on V_eps."""
-    return min(0.5, math.exp(-2.0 * theta))
-
-
 @dataclass(frozen=True)
 class ShapiroTaylor(Symbol):
     """Shapiro-Taylor map exp(-f_theta o g_theta), f_theta(z) = z(-log z)^theta.
@@ -236,15 +225,15 @@ class ShapiroTaylor(Symbol):
     """
 
     theta: float
-    eps: float | None = None
 
     def __post_init__(self):
         if not self.theta > 0.0:
             raise ValueError(f"exponent must be positive, got {self.theta}")
-        if self.eps is None:
-            object.__setattr__(self, "eps", default_shapiro_taylor_eps(self.theta))
-        if not 0.0 < self.eps < 1.0:
-            raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
+
+    @property
+    def eps(self) -> float:
+        """min(1/2, e^{-2 theta}): keeps z(-log z)^theta a self-map factory on V_eps."""
+        return min(0.5, math.exp(-2.0 * self.theta))
 
     def _raw(self, z):
         g = self.eps * _half_disk_map(z)
@@ -325,15 +314,6 @@ class PolydiskMap:
     @classmethod
     def diagonal(cls, spec: Symbol, dimension: int) -> "PolydiskMap":
         return cls(dimension, tuple((1, spec) for _ in range(dimension)))
-
-    def evaluate(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        if z.shape[-1] != self.dimension:
-            raise ValueError(f"expected points of D^{self.dimension}")
-        out = np.empty_like(z)
-        for j, (src, spec) in enumerate(self.coords):
-            out[..., j] = spec.evaluate(z[..., src - 1])
-        return out
 
 
 def blaschke_contraction_ratio(a: float, z: complex) -> float:

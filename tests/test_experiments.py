@@ -43,6 +43,17 @@ def test_tensor_lemma_run_writes_tables_and_manifest(tmp_path):
         assert meta["seed"] == 3
 
 
+@pytest.mark.parametrize(
+    "experiment", ["cusp-diagonal", "lens-trichotomy", "polydisk-pairs", "shapiro-taylor"]
+)
+def test_registry_experiment_passes_at_seed_0(experiment, tmp_path):
+    manifest = run(ExperimentConfig(experiment=experiment, out=str(tmp_path), seed=0))
+    assert manifest.status == "pass", manifest.assertions
+    assert manifest.tables
+    for name in manifest.tables:
+        assert (Path(manifest.out_dir) / f"{name}.csv").is_file(), name
+
+
 def test_unknown_experiment_is_rejected(tmp_path):
     with pytest.raises(ValueError):
         run(ExperimentConfig(experiment="bogus", out=str(tmp_path)))

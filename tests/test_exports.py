@@ -1,7 +1,7 @@
 """Every exported name resolves, so a deletion cannot leave a stale export,
-every exported name or public class member has a caller, and every
-dataclass field is read, so nothing is exported, defined or stored that
-nothing runs."""
+every exported name or public class member has a caller, every dataclass
+field is read, and every defaulted field is set by some caller, so nothing
+is exported, defined, stored or made optional that nothing runs."""
 
 import ast
 import importlib
@@ -87,10 +87,28 @@ def test_every_public_class_member_has_a_caller():
 # Fields whose name another dataclass shares, and that are read only through
 # an object whose class the AST cannot see: the function that reads each.
 SHARED_FIELD_READS = {
-    ("GraphChannel", "alpha"): "spiral_ensemble",
     ("DiskRegion", "base_point"): "wos_harmonic_measures",
-    ("HalfPlaneRegion", "base_point"): "wos_harmonic_measures",
 }
+
+
+def _dataclasses(tree: ast.AST) -> list:
+    return [
+        cls
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        and any(
+            getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+            for d in cls.decorator_list
+        )
+    ]
+
+
+def _annotated_fields(cls: ast.ClassDef) -> list:
+    return [
+        node
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+    ]
 
 
 def _dataclass_fields(tree: ast.AST) -> set:
@@ -101,14 +119,8 @@ def _dataclass_fields(tree: ast.AST) -> set:
         return set()
     return {
         (cls.name, node.target.id)
-        for cls in ast.walk(tree)
-        if isinstance(cls, ast.ClassDef)
-        and any(
-            getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
-            for d in cls.decorator_list
-        )
-        for node in cls.body
-        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+        for cls in _dataclasses(tree)
+        for node in _annotated_fields(cls)
     }
 
 
@@ -186,3 +198,65 @@ def test_a_shared_field_name_needs_a_read_through_its_own_class():
     )
     assert _unread_fields([tree], [tree], {}) == ["B.size"]
     assert _unread_fields([tree], [tree], {("B", "size"): "total"}) == []
+
+
+def _unset_defaulted_fields(field_trees, caller_trees) -> list:
+    """Defaulted dataclass fields that no call of their class name passes,
+    by position or by keyword: options nothing sets to a second value."""
+    defaulted = {}
+    for tree in field_trees:
+        for cls in _dataclasses(tree):
+            defaulted[cls.name] = [
+                (i, node.target.id)
+                for i, node in enumerate(_annotated_fields(cls))
+                if node.value is not None
+            ]
+    passed = set()
+    for tree in caller_trees:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name not in defaulted:
+                continue
+            positional = len(call.args)
+            keywords = {kw.arg for kw in call.keywords}
+            passed |= {
+                (name, field)
+                for i, field in defaulted[name]
+                if i < positional or field in keywords or None in keywords
+            }
+    return sorted(
+        f"{cls}.{field}"
+        for cls, fields in defaulted.items()
+        for _, field in fields
+        if (cls, field) not in passed
+    )
+
+
+def test_every_defaulted_field_is_set_by_some_caller():
+    sources = [
+        *PACKAGE.glob("*.py"),
+        *(ROOT / "tests").glob("*.py"),
+        *(ROOT / "perfbench").rglob("*.py"),
+    ]
+    unset = _unset_defaulted_fields(
+        [ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")],
+        [ast.parse(p.read_text()) for p in sources],
+    )
+    assert not unset, f"defaulted dataclass fields no caller sets (make them constants): {unset}"
+
+
+def test_a_defaulted_field_counts_as_set_by_position_or_keyword():
+    tree = ast.parse(
+        "@dataclass\n"
+        "class A:\n"
+        "    x: int\n"
+        "    y: int = 0\n"
+        "    z: int = 0\n"
+        "    w: int = 0\n"
+        "A(1, 2)\n"
+        "mod.A(1, z=3)\n"
+    )
+    assert _unset_defaulted_fields([tree], [tree]) == ["A.w"]

@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
-import compoplab as C
 from compoplab.carleson import CarlesonProfile
 from compoplab.operators import build_matrix
 from compoplab.spectra import (
-    Schedule,
     SingularSpectrum,
+    SvdError,
     beta_estimate,
     classify_series_convergence,
     decay_fit,
+    delta_from_epsilon,
+    epsilon_power,
     extremal_pair_count,
     extremal_spectrum,
     find_M,
@@ -87,6 +88,21 @@ def test_merge_supermultiplicativity():
     for n in range(1, 21):
         for m in range(1, 21):
             assert merged.a(n * m) >= s[n - 1] * t[m - 1]
+
+
+def test_merge_takes_the_weakest_factor_semantics():
+    diag = singular_values(np.diag([1.0, 0.5, 0.25]))
+    exact = SingularSpectrum(np.array([1.0, 0.5]), truncation=2, semantics="exact")
+    synthetic = SingularSpectrum(np.array([1.0, 0.3]), truncation=2)
+    bare = np.array([1.0, 0.2])
+    for pair, expected in (
+        ((diag, bare), "synthetic"),
+        ((diag, synthetic), "synthetic"),
+        ((diag, exact), "lower_bound_of_a_n"),
+        ((exact, exact), "exact"),
+    ):
+        for factors in (pair, pair[::-1]):
+            assert tensor_merge(list(factors), 4).semantics == expected, factors
 
 
 def test_merge_rejects_empty():
@@ -176,12 +192,12 @@ def test_upper_bound_plain_exponential_profile_oracle():
 
 
 def test_upper_bound_plain_schedule_calibration():
-    eps = Schedule.epsilon_power(0.5)
-    delta = Schedule.delta_from_epsilon(eps, n_max=4096)
+    eps = epsilon_power(0.5)
+    delta = delta_from_epsilon(eps, n_max=4096)
     probes = np.array([16, 64, 256, 1024])
-    eps_vals = eps.epsilon(probes)
+    eps_vals = eps(probes)
     h_grid = np.unique(np.concatenate([np.geomspace(0.9, 1e-3, 30), eps_vals]))[::-1]
-    prof = CarlesonProfile.synthetic(h_grid, lambda h: h * float(delta.delta(h)) ** 2)
+    prof = CarlesonProfile.synthetic(h_grid, lambda h: h * float(delta(h)) ** 2)
     for n, e in zip(probes, eps_vals):
         assert upper_bound_plain(prof, int(n)) <= 2.0 * math.exp(-n * e) * (1 + 1e-12)
 
@@ -253,10 +269,6 @@ def test_decay_fit_exact_models():
     fit = decay_fit(poly, "poly", (1, 199))
     assert fit.params["power"] == pytest.approx(1.5, abs=1e-6)
 
-    expo = 3.0 * np.exp(-0.25 * n)
-    fit = decay_fit(expo, "exp_linear", (1, 199))
-    assert fit.params["rate"] == pytest.approx(0.25, abs=1e-8)
-
 
 def test_decay_fit_guards():
     with pytest.raises(ValueError):
@@ -265,14 +277,14 @@ def test_decay_fit_guards():
         decay_fit(np.exp(-np.arange(1.0, 10.0)), "unknown", (1, 9))
     # a range past the end of the spectrum is refused, not shrunk
     with pytest.raises(ValueError):
-        decay_fit(np.exp(-np.arange(1.0, 51.0)), "exp_linear", (1, 100))
+        decay_fit(np.exp(-np.arange(1.0, 51.0)), "poly", (1, 100))
 
 
 def test_schatten_membership_classification():
     # s lies in the Schatten class S_p iff sum s_n^p converges
     n = np.arange(1, (1 << 16) + 1, dtype=float)
     with np.errstate(under="ignore"):
-        schedule = np.exp(-n * Schedule.epsilon_power(0.5).epsilon(n))
+        schedule = np.exp(-n * epsilon_power(0.5)(n))
         for values, p, verdict in (
             (np.exp(-np.sqrt(n)), 0.1, "summable"),
             (schedule, 0.1, "summable"),
@@ -288,19 +300,15 @@ def test_classifier_growing_blocks():
 
 def test_schedule_validation_and_delta_construction():
     with pytest.raises(ValueError):
-        Schedule("epsilon_n", lambda n: -1.0 / n)
-    with pytest.raises(ValueError):
-        Schedule.epsilon_power(-0.5)
-    eps = Schedule.epsilon_power(0.5)
-    delta = Schedule.delta_from_epsilon(eps, n_max=1 << 12)
+        epsilon_power(-0.5)
+    eps = epsilon_power(0.5)
+    delta = delta_from_epsilon(eps, n_max=1 << 12)
     ns = np.array([2, 7, 100, 1000], dtype=float)
-    eps_vals = eps.epsilon(ns)
-    assert np.all(delta.delta(eps_vals) <= np.exp(-ns * eps_vals) * (1 + 1e-12))
+    eps_vals = eps(ns)
+    assert np.all(delta(eps_vals) <= np.exp(-ns * eps_vals) * (1 + 1e-12))
     grid = np.geomspace(1e-3, 0.8, 50)
-    vals = delta.delta(grid)
+    vals = delta(grid)
     assert np.all(np.diff(vals) >= -1e-18)
-    with pytest.raises(ValueError):
-        delta.epsilon(ns)
 
 
 def test_spectrum_validation():
@@ -316,7 +324,7 @@ def test_spectrum_validation():
 
 def test_svd_error_diagnostics():
     bad = np.full((4, 4), np.nan)
-    with pytest.raises((C.spectra.SvdError, ValueError)):
+    with pytest.raises(SvdError, match="finite=False"):
         singular_values(bad)
 
 
