@@ -17,13 +17,10 @@ import numpy as np
 from .symbols import DEFAULT_BOUNDARY_RADIUS, Symbol
 
 __all__ = [
-    "DEFAULT_SAMPLES",
     "default_h_grid",
     "CarlesonProfile",
     "rho_profile",
 ]
-
-DEFAULT_SAMPLES = 1 << 20
 
 
 def default_h_grid() -> np.ndarray:
@@ -107,10 +104,12 @@ def _max_window_mass(w: np.ndarray, h: float, centers: int) -> int:
 def rho_profile(
     spec: Symbol,
     h_grid=None,
-    samples: int = DEFAULT_SAMPLES,
+    *,
+    samples: int,
     r_b: float = DEFAULT_BOUNDARY_RADIUS,
 ) -> CarlesonProfile:
-    """Estimate rho(h) and the level mass m({|phi*| >= 1-h}) on a grid of h.
+    """Estimate rho(h) and the level mass m({|phi*| >= 1-h}) on a grid of h
+    from `samples` equispaced boundary angles.
 
     Window centers are spaced at most h/4 apart.
     """

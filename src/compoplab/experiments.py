@@ -89,15 +89,6 @@ class ExperimentConfig:
     seed: int = 0
     samples: int | None = None
 
-    def public(self) -> dict:
-        return asdict(self)
-
-    def scientific(self) -> dict:
-        """Fields that determine the numbers (not where they are written)."""
-        d = self.public()
-        d.pop("out")
-        return d
-
 
 @dataclass
 class Assertion:
@@ -116,10 +107,6 @@ class RunManifest:
     tables: dict
     assertions: list
     out_dir: str
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
 
 
 class _Recorder:
@@ -738,10 +725,12 @@ def run(config: ExperimentConfig) -> RunManifest:
         rec.check("experiment completed", False, f"{type(exc).__name__}: {exc}")
     wall = time.perf_counter() - start
 
+    public = asdict(config)
     meta = {
         "experiment": config.experiment,
         "seed": config.seed,
-        "config": config.scientific(),
+        # the fields that determine the numbers, not where they are written
+        "config": {k: v for k, v in public.items() if k != "out"},
         "version": __version__,
     }
     checksums = {}
@@ -751,7 +740,7 @@ def run(config: ExperimentConfig) -> RunManifest:
         status = "fail"
     manifest = RunManifest(
         experiment=config.experiment,
-        config=config.public(),
+        config=public,
         version=__version__,
         status=status,
         wall_time_s=wall,

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .series import MAX_ORDER, _circle_nodes, default_radius, default_sample_count
 from .spectra import SingularSpectrum, classify_series_convergence
@@ -101,15 +100,13 @@ def _grid_power_columns(spec: Symbol, truncation: int):
 
 
 def multiplicity_weights(truncation: int, dimension: int) -> np.ndarray:
-    """sqrt(C(k+N-1, N-1)) for k < K in log space; safe up to K=4096, N large.
+    """sqrt(C(k+N-1, N-1)) for k < K, from exact integer binomials.
 
     Exactly 1.0 at N = 1.
     """
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
-    k = np.arange(truncation, dtype=float)
-    n = float(dimension)
-    return np.exp(0.5 * (gammaln(k + n) - gammaln(k + 1.0) - gammaln(n)))
+    return np.sqrt([float(math.comb(k + dimension - 1, dimension - 1)) for k in range(truncation)])
 
 
 def build_matrix(spec: Symbol, truncation: int, dimension: int = 1) -> np.ndarray:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import beta as beta_integral
 
 __all__ = [
     "SingularSpectrum",
@@ -236,7 +235,10 @@ def find_M(a_exp: float, b_exp: float) -> int:
         best = max(best, math.ceil(ratio - 1e-12))
         if n > _FIND_M_N - 10:
             tail_ratios.append(ratio)
-    limit = float(beta_integral(a_exp + 1.0, b_exp))
+    # Beta(A+1, B) = Gamma(A+1) Gamma(B) / Gamma(A+B+1)
+    limit = math.exp(
+        math.lgamma(a_exp + 1.0) + math.lgamma(b_exp) - math.lgamma(a_exp + b_exp + 1.0)
+    )
     if best <= limit or max(tail_ratios) > best:
         raise ArithmeticError(
             f"cannot certify M={best} beyond n={_FIND_M_N}: Riemann limit {limit:.4g}"

@@ -73,6 +73,10 @@ def test_rotation_matrix_is_unitary_diagonal():
 def test_diagonal_polydisk_dimension_one_is_plain_matrix():
     for k in (1, 32, 1024, 4096):
         assert np.all(multiplicity_weights(k, 1) == 1.0)
+    # exact integer binomials: C(k+1, 1) = k+1 and C(k+2, 2) = (k+1)(k+2)/2
+    k = np.arange(1024)
+    assert np.array_equal(multiplicity_weights(1024, 2), np.sqrt(np.arange(1, 1025)))
+    assert np.array_equal(multiplicity_weights(1024, 3), np.sqrt((k + 1) * (k + 2) / 2))
     a = build_matrix(Lens(0.25), 32)
     b = build_matrix(Lens(0.25), 32, dimension=1)
     assert np.array_equal(a, b)
