@@ -27,11 +27,9 @@ from .symbols import (
 )
 from .carleson import CarlesonProfile, rho_profile
 from .operators import (
-    SizeGuardError,
     build_matrix,
     hs_norm_sq,
     kernel_ratio,
-    multi_index_oracle,
     multiplicity_weights,
     unboundedness_witness,
 )

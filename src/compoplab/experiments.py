@@ -195,8 +195,10 @@ def _exp_cusp_diagonal(rec: _Recorder):
 
 
 # ---------------------------------------------------------------------------
-# measurements shared by the experiment bodies and the acceptance criteria;
-# each caller passes its own sample counts, seeds and ranges
+# measurements shared by the experiment bodies, the acceptance criteria and
+# the unit tests; each caller passes its own sample counts, seeds and ranges.
+# A function that judges a claim returns its verdict last, beside its values,
+# so each rule and threshold is written here once.
 
 
 def kernel_sweep(poly: PolydiskMap):
@@ -208,16 +210,30 @@ def kernel_sweep(poly: PolydiskMap):
     return rows
 
 
-def kernel_slope(rows) -> float:
-    """Slope of log ratio against log 1/(1-r) = j log 2 over the rows with j >= 10."""
+def kernel_slope(rows, n_theta: float):
+    """(slope, target, min/median of the ratios, verdict) of the lens kernel-ratio
+    regime N theta >= 1.  The slope is that of log ratio against
+    log 1/(1-r) = j log 2 over the rows with j >= 10.  Above N theta = 1 the
+    ratio grows: the slope must lie within 0.05 of (N theta - 1)/2.  At
+    N theta = 1 it stays in a band: the slope within 0.02 of 0, and no ratio
+    below half the median.  Below 1 the operator is compact and has no rule here."""
     js = np.array([r[0] for r in rows])
-    logs = np.log([r[2] for r in rows])
+    ratios = np.array([r[2] for r in rows])
     window = js >= 10
-    return linear_fit(js[window] * math.log(2.0), logs[window])[0]
+    slope = linear_fit(js[window] * math.log(2.0), np.log(ratios[window]))[0]
+    band = ratios.min() / np.median(ratios)
+    if abs(n_theta - 1.0) <= 1e-9:
+        flat = abs(slope) <= 0.02
+        return slope, 0.0, band, bool(flat and ratios.min() >= 0.5 * np.median(ratios))
+    if n_theta < 1.0:
+        raise ValueError("the kernel-ratio rule needs N theta >= 1")
+    target = (n_theta - 1.0) / 2.0
+    return slope, target, band, bool(abs(slope - target) <= 0.05)
 
 
-def kronecker_gap(rngs) -> float:
-    """max |merged - kron| / kron[0] over one random 5x5 (x) 6x6 complex pair per generator."""
+def kronecker_gap(rngs):
+    """(max |merged - kron| / kron[0] over one random 5x5 (x) 6x6 complex pair per
+    generator, whether it is below 1e-10)."""
     worst = 0.0
     for rng in rngs:
         a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
@@ -227,7 +243,7 @@ def kronecker_gap(rngs) -> float:
         merged = tensor_merge([sa, sb], 30)
         kron = np.linalg.svd(np.kron(a, b), compute_uv=False)
         worst = max(worst, float(np.max(np.abs(merged.values - kron))) / kron[0])
-    return worst
+    return worst, worst < 1e-10
 
 
 def pair_count_agrees(a_exp: float, b_exp: float, ns) -> bool:
@@ -258,15 +274,17 @@ def merge_check(a_exp: float, b_exp: float):
 
 
 def harness_pair(samples: int, seed: int):
-    """Walk-on-spheres calibration: the disk half-arc at `seed` and the
-    half-plane segment (-1, 1) at `seed + 1`; both have exact measure 1/2."""
+    """Walk-on-spheres calibration: (the disk half-arc estimate at `seed`, the
+    half-plane segment (-1, 1) estimate at `seed + 1`, whether each lies within
+    3 half-widths of its exact measure 1/2)."""
     disk = wos_harmonic_measure(
         DiskRegion(), lambda p: np.abs(np.angle(p)) <= math.pi / 2.0, samples=samples, seed=seed
     )
     half = wos_harmonic_measure(
         HalfPlaneRegion(), lambda p: np.abs(p.real) < 1.0, samples=samples, seed=seed + 1
     )
-    return disk, half
+    ok = tuple(bool(abs(e.probability - 0.5) <= 3.0 * e.ci_halfwidth) for e in (disk, half))
+    return disk, half, ok
 
 
 def spiral_ensemble(region: GraphChannel, samples: int, seed: int):
@@ -281,42 +299,52 @@ def spiral_ensemble(region: GraphChannel, samples: int, seed: int):
 
 
 def tail_slope(ys, tails):
-    """(slope of log p against y over the positive estimates, their count);
-    the slope is nan when fewer than two are positive."""
+    """(slope of log p against y over the positive estimates, their count, whether
+    at least two are positive and the slope is at most -0.9); the slope is nan
+    when fewer than two are positive."""
     probs = np.array([e.probability for e in tails])
     positive = probs > 0
     count = int(np.count_nonzero(positive))
     if count < 2:
-        return float("nan"), count
-    return linear_fit(np.asarray(ys)[positive], np.log(probs[positive]))[0], count
+        return float("nan"), count, False
+    slope = linear_fit(np.asarray(ys)[positive], np.log(probs[positive]))[0]
+    return slope, count, bool(slope <= -0.9)
 
 
 def level_constant(region: GraphChannel, hs, levels, tol: float):
     """(shape e^(alpha - g(2h)), level probabilities, fitted constant c_hat,
-    whether every probability is at most max(c_hat, 1) * shape + tol)."""
+    the marker " (vacuous)" when no level target has a hit, else "", whether
+    c_hat is finite and every probability is at most 1e-3 and at most
+    max(c_hat, 1) * shape + tol)."""
     g2h = np.array([float(region.g(np.array([2.0 * h]))[0]) for h in hs])
     shape = np.exp(region.alpha - g2h)
     probs = np.array([e.probability for e in levels])
     with np.errstate(divide="ignore", invalid="ignore"):
         c_hat = float(np.max(np.where(shape > 0, probs / shape, 0.0)))
-    return shape, probs, c_hat, bool(np.all(probs <= max(c_hat, 1.0) * shape + tol))
+    note = "" if np.any(probs > 0) else " (vacuous)"
+    single = np.all(probs <= max(c_hat, 1.0) * shape + tol)
+    return shape, probs, c_hat, note, bool(single and np.all(probs <= 1e-3) and math.isfinite(c_hat))
 
 
-def covering_sample(region: GraphChannel, seed: int) -> np.ndarray:
-    """Covering counts of e^(-z) at 1e5 uniform points of the punctured disk."""
+def covering_sample(region: GraphChannel, seed: int):
+    """(covering counts of e^(-z) at 1e5 uniform points of the punctured disk, the
+    frequency of count 2, whether every count lies in [1, 2] and that frequency
+    exceeds 0.999)."""
     rng = np.random.default_rng(seed)
     radii = np.sqrt(rng.uniform(1e-12, 1.0, 10**5))
     angles = rng.uniform(0.0, 2.0 * math.pi, 10**5)
-    return covering_count(region, radii * np.cos(angles) + 1j * (radii * np.sin(angles)))
+    counts = covering_count(region, radii * np.cos(angles) + 1j * (radii * np.sin(angles)))
+    freq2 = float(np.mean(counts == 2))
+    return counts, freq2, bool(counts.min() >= 1 and counts.max() <= 2 and freq2 > 0.999)
 
 
 def witness_growth(points: int):
-    """Unboundedness witnesses at `points` log-spaced n in [10, 1e4] and the
-    log-log slope of their ratio; returns (ns, witnesses, slope)."""
+    """(ns, witnesses, slope, whether the slope is within 0.03 of 1/4): unboundedness
+    witnesses at `points` log-spaced n in [10, 1e4] and the log-log slope of their ratio."""
     ns = np.unique(np.geomspace(10, 10**4, points).astype(int))
     witnesses = [unboundedness_witness(int(n)) for n in ns]
     slope = linear_fit(np.log(ns), np.log([w.ratio for w in witnesses]))[0]
-    return ns, witnesses, slope
+    return ns, witnesses, slope, bool(abs(slope - 0.25) <= 0.03)
 
 
 def _exp_lens_trichotomy(rec: _Recorder):
@@ -329,22 +357,20 @@ def _exp_lens_trichotomy(rec: _Recorder):
             ["j", "r", "ratio"],
             rows,
         )
-        slope = kernel_slope(rows)
-        regime = dim * theta
-        if regime > 1.0 + 1e-9:
-            target = (dim * theta - 1.0) / 2.0
-            rec.check(
-                f"theta={theta:g}: unbounded kernel growth",
-                abs(slope - target) <= 0.05,
-                f"slope={slope:.4f} target={target:.4f}",
-            )
-        elif abs(regime - 1.0) <= 1e-9:
-            ratios = np.array([r[2] for r in rows])
-            rec.check(
-                f"theta={theta:g}: bounded non-vanishing band",
-                abs(slope) <= 0.02 and ratios.min() >= 0.5 * np.median(ratios),
-                f"slope={slope:.4f} min/median={ratios.min() / np.median(ratios):.3f}",
-            )
+        if dim * theta >= 1.0 - 1e-9:
+            slope, target, band, ok = kernel_slope(rows, dim * theta)
+            if target > 0.0:
+                rec.check(
+                    f"theta={theta:g}: unbounded kernel growth",
+                    ok,
+                    f"slope={slope:.4f} target={target:.4f}",
+                )
+            else:
+                rec.check(
+                    f"theta={theta:g}: bounded non-vanishing band",
+                    ok,
+                    f"slope={slope:.4f} min/median={band:.3f}",
+                )
         else:
             spec = singular_values(build_matrix(Lens(theta), 512, dim))
             fit = decay_fit(spec, "stretched_exp", (20, 200))
@@ -388,8 +414,8 @@ def _exp_tensor_lemma(rec: _Recorder):
 
     # merged spectra agree with Kronecker-product singular values
     rng = np.random.default_rng(rec.config.seed)
-    worst = kronecker_gap([rng] * 10)  # ten pairs drawn in turn from one generator
-    rec.check("merge equals Kronecker SVD", worst < 1e-10, f"max gap {worst:.2e}")
+    worst, ok = kronecker_gap([rng] * 10)  # ten pairs drawn in turn from one generator
+    rec.check("merge equals Kronecker SVD", ok, f"max gap {worst:.2e}")
 
 
 def _exp_spiral_harmonic(rec: _Recorder):
@@ -397,7 +423,7 @@ def _exp_spiral_harmonic(rec: _Recorder):
     samples = cfg.samples or 10**6
     region = GraphChannel()
 
-    disk, half = harness_pair(max(samples // 10, 10**4), cfg.seed)
+    disk, half, harness_ok = harness_pair(max(samples // 10, 10**4), cfg.seed)
     rec.table(
         "harness",
         ["region", "target", "probability", "ci", "exact"],
@@ -406,16 +432,8 @@ def _exp_spiral_harmonic(rec: _Recorder):
             ("half-plane", "segment(-1,1)", half.probability, half.ci_halfwidth, 0.5),
         ],
     )
-    rec.check(
-        "disk harness",
-        abs(disk.probability - 0.5) <= 3.0 * disk.ci_halfwidth,
-        f"p={disk.probability:.4f}",
-    )
-    rec.check(
-        "half-plane harness",
-        abs(half.probability - 0.5) <= 3.0 * half.ci_halfwidth,
-        f"p={half.probability:.4f}",
-    )
+    rec.check("disk harness", harness_ok[0], f"p={disk.probability:.4f}")
+    rec.check("half-plane harness", harness_ok[1], f"p={half.probability:.4f}")
 
     ys, hs, tail, level = spiral_ensemble(region, samples, cfg.seed + 2)
 
@@ -427,17 +445,14 @@ def _exp_spiral_harmonic(rec: _Recorder):
             for y, e in zip(ys, tail)
         ],
     )
-    slope, positive = tail_slope(ys, tail)
-    if positive >= 2:
-        rec.check(
-            "exponential tail slope <= -0.9",
-            slope <= -0.9,
-            f"slope={slope:.3f} on {positive} points",
-        )
-    else:
-        rec.check("exponential tail slope <= -0.9", False, "vanishing tail estimate")
+    slope, positive, ok = tail_slope(ys, tail)
+    rec.check(
+        "exponential tail slope <= -0.9",
+        ok,
+        "vanishing tail estimate" if math.isnan(slope) else f"slope={slope:.3f} on {positive} points",
+    )
 
-    bound, level_p, c_hat, single_constant = level_constant(region, hs, level, 1e-12)
+    bound, level_p, c_hat, note, ok = level_constant(region, hs, level, 1e-12)
     rows = [
         (h, e.probability, e.ci_halfwidth, b, c_hat)
         for h, e, b in zip(hs, level, bound)
@@ -445,8 +460,8 @@ def _exp_spiral_harmonic(rec: _Recorder):
     rec.table("level_tail", ["h", "probability", "ci", "bound_shape", "c_hat"], rows)
     rec.check(
         "level-set bound with one constant",
-        single_constant and np.all(level_p <= 1e-3),
-        f"c_hat={c_hat:.3g} max_p={level_p.max():.2e}",
+        ok,
+        f"c_hat={c_hat:.3g} max_p={level_p.max():.2e}{note}",
     )
 
     # schedule calibration: the default g(t) = pi^2/t satisfies
@@ -472,18 +487,13 @@ def _exp_spiral_harmonic(rec: _Recorder):
         f"margin at t=1e-3: {margin[0]:.1f}",
     )
 
-    counts = covering_sample(region, cfg.seed + 3)
-    freq2 = float(np.mean(counts == 2))
+    counts, freq2, ok = covering_sample(region, cfg.seed + 3)
     rec.table(
         "covering",
         ["count", "frequency"],
         [(k, float(np.mean(counts == k))) for k in (0, 1, 2, 3)],
     )
-    rec.check(
-        "two-valent covering",
-        counts.min() >= 1 and counts.max() <= 2 and freq2 > 0.999,
-        f"freq2={freq2:.5f}",
-    )
+    rec.check("two-valent covering", ok, f"freq2={freq2:.5f}")
 
 
 def _exp_blaschke_passage(rec: _Recorder):
@@ -528,20 +538,20 @@ def _exp_polydisk_pairs(rec: _Recorder):
     dim = 3
 
     # item 1: exact unboundedness witness, ratio ~ n^(1/4)
-    ns, witnesses, slope = witness_growth(25)
+    ns, witnesses, slope, ok = witness_growth(25)
     rows = [(int(n), w.norm_f, w.norm_cf, w.ratio) for n, w in zip(ns, witnesses)]
     rec.table("witness", ["n", "norm_f", "norm_cf", "ratio"], rows)
-    rec.check("witness growth exponent 1/4", abs(slope - 0.25) <= 0.03, f"slope={slope:.4f}")
+    rec.check("witness growth exponent 1/4", ok, f"slope={slope:.4f}")
 
     # item 2: lens diagonal at the critical exponent vs the surjective route
-    poly = PolydiskMap.diagonal(Lens(1.0 / dim), dim)
-    krows = kernel_sweep(poly)
+    theta = 1.0 / dim
+    krows = kernel_sweep(PolydiskMap.diagonal(Lens(theta), dim))
     rec.table("critical_kernel", ["j", "r", "ratio"], krows)
-    ratios = np.array([r[2] for r in krows])
+    slope, _, band, ok = kernel_slope(krows, dim * theta)
     rec.check(
         "critical lens band bounded and non-vanishing",
-        bool(ratios.min() >= 0.5 * np.median(ratios)),
-        f"min/median={ratios.min() / np.median(ratios):.3f}",
+        ok,
+        f"min/median={band:.3f} slope={slope:.4f}",
     )
     h_grid = np.geomspace(0.5, 1e-2, 24)
     sigma_profile = CarlesonProfile.synthetic(

@@ -69,9 +69,6 @@ class DiskRegion:
 
     base_point: complex = 0.0 + 0.0j
 
-    def contains(self, p) -> np.ndarray:
-        return np.abs(np.asarray(p)) < 1.0
-
     def distance_vector(self, p: np.ndarray) -> np.ndarray:
         return 1.0 - np.abs(p)
 
@@ -92,9 +89,6 @@ class HalfPlaneRegion:
 
     base_point = 1j
     cutoff: float = 1e6
-
-    def contains(self, p) -> np.ndarray:
-        return np.asarray(p).imag > 0
 
     def distance_vector(self, p: np.ndarray) -> np.ndarray:
         return p.imag

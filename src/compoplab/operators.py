@@ -2,10 +2,10 @@
 
 Column k of the matrix of C_phi is the coefficient vector of phi^k.  One
 circle transform (`_grid_power_columns`) gives every such column, for
-`build_matrix`, `hs_norm_sq` and the multi-index oracle alike.  The
-diagonal polydisk map Phi(z) = (phi(z_1), ..., phi(z_1)) on H^2(D^N)
-reduces exactly to a one-variable matrix whose column k carries the
-multiplicity weight sqrt(C(k+N-1, N-1)); see `build_matrix`.
+`build_matrix` and `hs_norm_sq` alike.  The diagonal polydisk map
+Phi(z) = (phi(z_1), ..., phi(z_1)) on H^2(D^N) reduces exactly to a
+one-variable matrix whose column k carries the multiplicity weight
+sqrt(C(k+N-1, N-1)); see `build_matrix`.
 
 Sections are lower bounds of the approximation numbers that converge
 slowly for boundary-touching symbols; `kernel_lower_bound` gives lower
@@ -16,7 +16,6 @@ they are factored exactly, from products alone (`_cauchy_factor`).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,24 +26,15 @@ from .spectra import SingularSpectrum, classify_series_convergence
 from .symbols import PolydiskMap, SingularEvaluationError, Symbol
 
 __all__ = [
-    "SizeGuardError",
     "HsReport",
     "WitnessNorms",
     "build_matrix",
     "multiplicity_weights",
-    "multi_index_oracle",
     "hs_norm_sq",
     "kernel_ratio",
     "kernel_lower_bound",
     "unboundedness_witness",
 ]
-
-ORACLE_SIZE_CAP = 3000
-
-
-class SizeGuardError(ValueError):
-    """A brute-force construction would exceed its size envelope."""
-
 
 # Bytes of samples per batched FFT call: 4 power rows at K = 2048, 8 at K = 1024.
 _BLOCK_BYTES = 1 << 20
@@ -129,65 +119,6 @@ def build_matrix(spec: Symbol, truncation: int, dimension: int = 1) -> np.ndarra
     entries = np.empty((truncation, truncation), dtype=complex)
     for k0, cols in _grid_power_columns(spec, truncation):
         entries[:, k0 : k0 + len(cols)] = (cols * weights[k0 : k0 + len(cols), None]).T
-    return entries
-
-
-def multi_indices(dimension: int, degree_cap: int):
-    """All alpha in N^dimension with |alpha| <= degree_cap, graded lexicographic."""
-    out = []
-    for total in range(degree_cap + 1):
-        for cuts in itertools.combinations(range(total + dimension - 1), dimension - 1):
-            alpha = []
-            prev = -1
-            for c in cuts:
-                alpha.append(c - prev - 1)
-                prev = c
-            alpha.append(total + dimension - 1 - prev - 1)
-            out.append(tuple(alpha))
-    return out
-
-
-def multi_index_oracle(poly: PolydiskMap, degree_cap: int) -> np.ndarray:
-    """Brute-force section of C_Phi on the monomial basis {z^alpha : |alpha| <= D}.
-
-    Entry (beta, alpha) is the coefficient of z^beta in
-    prod_j map_j(z_{source_j})^{alpha_j}.  It shares only the 1-d power
-    columns with `build_matrix`, not the diagonal reduction or its
-    multiplicity weights; used as a test oracle only.
-    """
-    n = poly.dimension
-    basis = multi_indices(n, degree_cap)
-    side = len(basis)
-    if side > ORACLE_SIZE_CAP:
-        raise SizeGuardError(
-            f"oracle basis has {side} monomials; cap is {ORACLE_SIZE_CAP}"
-        )
-    # 1-d coefficient table: powers[j][k] = coefficients of map_j^k, degree <= D
-    powers = [
-        np.concatenate([cols for _, cols in _grid_power_columns(spec, degree_cap + 1)])
-        for _, spec in poly.coords
-    ]
-
-    beta_mat = np.asarray(basis, dtype=int)  # (side, n)
-    entries = np.empty((side, side), dtype=complex)
-    for col, alpha in enumerate(basis):
-        # group output coordinates by their source variable
-        per_source = {}
-        for j, (src, _) in enumerate(poly.coords):
-            coeffs = powers[j][alpha[j]]
-            if src in per_source:
-                per_source[src] = np.convolve(per_source[src], coeffs)[: degree_cap + 1]
-            else:
-                per_source[src] = coeffs
-        column = np.ones(side, dtype=complex)
-        for src in range(1, n + 1):
-            factor = per_source.get(src)
-            if factor is None:
-                # unused source variable: factor is the constant series 1
-                factor = np.zeros(degree_cap + 1, dtype=complex)
-                factor[0] = 1.0
-            column = column * factor[beta_mat[:, src - 1]]
-        entries[:, col] = column
     return entries
 
 

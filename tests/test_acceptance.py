@@ -1,12 +1,13 @@
 """Acceptance gate: one test per quantitative criterion, each printing a
 PASS/FAIL line with the measured quantities.
 
-Where a registry experiment measures the same quantity, the criterion
-calls the same public function of `compoplab.experiments` with its own
-seeds, sample counts, windows and thresholds: the kernel sweep (3), the
-Kronecker gap, pair-count oracle and merge check (4, 5), the walk
-ensemble, harnesses, tail slope and level constant (7, 8), the covering
-sample (9) and the witness slope (10).
+Where a registry experiment checks the same claim, the criterion calls
+the same public function of `compoplab.experiments` with its own seeds
+and sample counts, and reads the verdict that function returns, so each
+rule and threshold is written once: the kernel-ratio regimes (3), the
+Kronecker gap, pair-count oracle and merge check (4, 5), the harnesses,
+tail slope and level constant (7, 8), the covering sample (9) and the
+witness slope (10).
 
 Criteria 1 and 11 assert two-sided decay laws for boundary-touching
 symbols.  Monomial sections are lower bounds that have not converged in
@@ -42,13 +43,7 @@ from compoplab.experiments import (
     witness_growth,
 )
 from compoplab.harmonic import GraphChannel
-from compoplab.operators import (
-    build_matrix,
-    hs_norm_sq,
-    kernel_lower_bound,
-    multi_index_oracle,
-    multiplicity_weights,
-)
+from compoplab.operators import build_matrix, hs_norm_sq, kernel_lower_bound, multiplicity_weights
 from compoplab.series import PowerSeries
 from compoplab.spectra import (
     decay_fit,
@@ -67,6 +62,7 @@ from compoplab.symbols import (
     shipped_symbols,
 )
 from conftest import strip_lattice
+from polydisk_oracle import multi_index_oracle
 
 
 def _report(idx: int, name: str, ok: bool, detail: str = "") -> bool:
@@ -163,29 +159,18 @@ def test_criterion_03_lens_trichotomy():
     ok = True
     details = []
     for dim in (2, 3):
-        for theta, regime in ((2.0 / dim, "super"), (1.0 / dim, "critical")):
+        for theta, label in ((2.0 / dim, "2/N"), (1.0 / dim, "1/N")):
             rows = kernel_sweep(PolydiskMap.diagonal(Lens(theta), dim))
-            ratios = np.array([row[2] for row in rows])
-            slope = kernel_slope(rows)
-            if regime == "super":
-                target = (dim * theta - 1.0) / 2.0
-                good = abs(slope - target) <= 0.05
-                details.append(f"N={dim} theta=2/N slope={slope:.3f}")
-            else:
-                flat = abs(slope) <= 0.02
-                non_vanishing = ratios.min() >= 0.5 * float(np.median(ratios))
-                good = flat and non_vanishing
-                details.append(
-                    f"N={dim} theta=1/N slope={slope:.3f} min/med="
-                    f"{ratios.min() / np.median(ratios):.2f}"
-                )
+            slope, target, band, good = kernel_slope(rows, dim * theta)
+            band_detail = f" min/med={band:.2f}" if target == 0.0 else ""
+            details.append(f"N={dim} theta={label} slope={slope:.3f}{band_detail}")
             ok = ok and good
     detail = "; ".join(details)
     assert _report(3, "lens trichotomy kernel-ratio slopes", ok, detail), detail
 
 
 def test_criterion_04_tensor_merge_correctness():
-    worst = kronecker_gap([np.random.default_rng(seed) for seed in range(10)])
+    worst, merge_ok = kronecker_gap([np.random.default_rng(seed) for seed in range(10)])
     super_ok = True
     s = np.exp(-np.sqrt(np.arange(1, 25, dtype=float)))
     t = np.exp(-0.4 * np.arange(1, 25, dtype=float) ** 0.6)
@@ -194,7 +179,7 @@ def test_criterion_04_tensor_merge_correctness():
         for m in range(1, 21):
             if merged.a(n * m) < s[n - 1] * t[m - 1]:
                 super_ok = False
-    ok = worst < 1e-10 and super_ok
+    ok = merge_ok and super_ok
     detail = f"max relative gap to Kronecker SVD {worst:.2e}; supermultiplicativity exact"
     assert _report(4, "tensor merge equals Kronecker SVD", ok, detail), detail
 
@@ -240,14 +225,9 @@ def test_criterion_06_diagonal_polydisk_exactness():
 
 def test_criterion_07_spiral_harmonic_tail(ensemble):
     _, ys, _, tails, _, elapsed = ensemble
-    slope, positive = tail_slope(ys, tails)
-    slope_ok = positive >= 2 and slope <= -0.9
-    disk, half = harness_pair(2 * 10**5, 41)
-    harness_ok = (
-        abs(disk.probability - 0.5) <= 3 * disk.ci_halfwidth
-        and abs(half.probability - 0.5) <= 3 * half.ci_halfwidth
-    )
-    ok = slope_ok and harness_ok and elapsed <= 600.0
+    slope, positive, slope_ok = tail_slope(ys, tails)
+    disk, half, harness_ok = harness_pair(2 * 10**5, 41)
+    ok = slope_ok and all(harness_ok) and elapsed <= 600.0
     detail = (
         f"slope={slope:.2f} on {positive} positive points, hits {_hits(tails)}, "
         f"disk={disk.probability:.4f}, half-plane={half.probability:.4f}, "
@@ -258,29 +238,22 @@ def test_criterion_07_spiral_harmonic_tail(ensemble):
 
 def test_criterion_08_level_set_bound(ensemble):
     region, _, hs, _, levels, _ = ensemble
-    _, probs, c_hat, single_constant = level_constant(region, hs, levels, 1e-15)
-    tiny = bool(np.all(probs <= 1e-3))
-    ok = single_constant and tiny and np.isfinite(c_hat)
-    hits = _hits(levels)
-    vacuous = "" if any(hits) else " (vacuous)"
+    _, probs, c_hat, note, ok = level_constant(region, hs, levels, 1e-15)
     detail = (
-        f"C_hat={c_hat:.3g}, probabilities {probs.tolist()}, hits {hits}{vacuous} "
+        f"C_hat={c_hat:.3g}, probabilities {probs.tolist()}, hits {_hits(levels)}{note} "
         "(theory scale e^(5pi-g(2h)))"
     )
     assert _report(8, "level-set tail bounded by e^(5pi - g(2h))", ok, detail), detail
 
 
 def test_criterion_09_covering_two_valence():
-    counts = covering_sample(GraphChannel(), 99)
-    freq2 = float(np.mean(counts == 2))
-    ok = counts.min() >= 1 and counts.max() <= 2 and freq2 > 0.999
+    counts, freq2, ok = covering_sample(GraphChannel(), 99)
     detail = f"counts in [{counts.min()},{counts.max()}], freq(2)={freq2:.5f} on 1e5 points"
     assert _report(9, "exponential map is onto and two-valent on the channel", ok, detail), detail
 
 
 def test_criterion_10_unboundedness_witness():
-    slope = witness_growth(30)[2]
-    ok = abs(slope - 0.25) <= 0.03
+    _, _, slope, ok = witness_growth(30)
     detail = f"log-log slope {slope:.4f} over n in [10, 1e4] (exact binomials, log space)"
     assert _report(10, "diagonal witness ratio grows like n^(1/4)", ok, detail), detail
 

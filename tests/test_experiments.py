@@ -43,15 +43,30 @@ def test_tensor_lemma_run_writes_tables_and_manifest(tmp_path):
         assert meta["seed"] == 3
 
 
-@pytest.mark.parametrize(
-    "experiment", ["cusp-diagonal", "lens-trichotomy", "polydisk-pairs", "shapiro-taylor"]
-)
+@pytest.mark.parametrize("experiment", ["cusp-diagonal", "lens-trichotomy", "polydisk-pairs"])
 def test_registry_experiment_passes_at_seed_0(experiment, tmp_path):
     manifest = run(ExperimentConfig(experiment=experiment, out=str(tmp_path), seed=0))
     assert manifest.status == "pass", manifest.assertions
     assert manifest.tables
     for name in manifest.tables:
         assert (Path(manifest.out_dir) / f"{name}.csv").is_file(), name
+
+
+ROOT =Path(__file__).resolve().parent.parent
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in BENCHMARK["workloads"]])
+def test_benchmark_pass_at_seed_0_is_correct(workload, tmp_path, monkeypatch):
+    # one pass of the benchmark workload, checked as the benchmark checks it:
+    # exit codes, manifest statuses, table names and every cell against
+    # perfbench/reference/
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from workloads import Workload
+
+    bench = Workload(workload, 0, ROOT / "perfbench" / "reference")
+    checked = bench.check_pass(bench.run_pass(tmp_path), tmp_path)
+    assert checked.attempted and not checked.failures, checked.failures
 
 
 def test_unknown_experiment_is_rejected(tmp_path):
@@ -122,8 +137,7 @@ def test_assertions_recorded_in_manifest(tmp_path):
 def _config_callers() -> set:
     """Config fields some caller sets: an `ExperimentConfig(...)` keyword in
     tests/, or a `--flag` in a literal argv list in tests/ or perfbench/."""
-    root = Path(__file__).resolve().parent.parent
-    paths = [*(root / "tests").glob("*.py"), *(root / "perfbench").rglob("*.py")]
+    paths = [*(ROOT / "tests").glob("*.py"), *(ROOT / "perfbench").rglob("*.py")]
     set_fields = set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from compoplab.experiments import spiral_ensemble
+from compoplab.experiments import harness_pair, spiral_ensemble, tail_slope
 from compoplab.harmonic import (
     _DISTANCE_BLOCK,
     _default_slope_bound,
@@ -229,25 +229,21 @@ def test_channel_rejects_slope_bound_below_secant():
     GraphChannel(g_slope_bound=lambda lo, hi: 2 * PI**2 / lo**2)
 
 
-def test_disk_harness_half_arc():
-    est = wos_harmonic_measure(
-        DiskRegion(),
-        lambda p: np.abs(np.angle(p)) <= PI / 2,
-        samples=10**5,
-        seed=11,
-    )
-    assert abs(est.probability - 0.5) <= 3.0 * est.ci_halfwidth
+@pytest.fixture(scope="module")
+def harnesses():
+    """The disk half-arc at seed 11 and the half-plane segment at seed 12."""
+    return harness_pair(10**5, 11)
 
 
-def test_half_plane_harness_segment():
-    est = wos_harmonic_measure(
-        HalfPlaneRegion(),
-        lambda p: np.abs(p.real) < 1.0,
-        samples=10**5,
-        seed=12,
-    )
+def test_disk_harness_half_arc(harnesses):
+    disk, _, ok = harnesses
+    assert ok[0], disk.probability
+
+
+def test_half_plane_harness_segment(harnesses):
     # Poisson kernel from i: (arctan 1 - arctan(-1))/pi = 1/2
-    assert abs(est.probability - 0.5) <= 3.0 * est.ci_halfwidth
+    _, half, ok = harnesses
+    assert ok[1], half.probability
 
 
 def test_channel_tail_decays_exponentially(channel):
@@ -258,10 +254,8 @@ def test_channel_tail_decays_exponentially(channel):
         samples=2 * 10**5,
         seed=13,
     )
-    probs = np.array([e.probability for e in tails])
-    assert np.all(probs > 0)
-    slope = (math.log(probs[1]) - math.log(probs[0])) / (ys[1] - ys[0])
-    assert slope <= -0.9
+    slope, positive, ok = tail_slope(ys, tails)
+    assert positive == 2 and ok, slope
 
 
 def test_multi_target_matches_single_target(channel):

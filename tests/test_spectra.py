@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from compoplab.carleson import CarlesonProfile
+from compoplab.experiments import kronecker_gap
 from compoplab.operators import build_matrix
 from compoplab.spectra import (
     SingularSpectrum,
@@ -20,7 +21,6 @@ from compoplab.spectra import (
     nu_count,
     nu_count_bruteforce,
     singular_values,
-    tensor_lemma_report,
     tensor_merge,
     upper_bound_plain,
     upper_bound_weighted,
@@ -61,16 +61,8 @@ def test_merge_small_exact():
 
 
 def test_merge_matches_kronecker_svd(rng):
-    worst = 0.0
-    for _ in range(10):
-        a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        b = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        sa = np.linalg.svd(a, compute_uv=False)
-        sb = np.linalg.svd(b, compute_uv=False)
-        merged = tensor_merge([sa, sb], 30)
-        kron = np.linalg.svd(np.kron(a, b), compute_uv=False)
-        worst = max(worst, float(np.max(np.abs(merged.values - kron))))
-    assert worst < 1e-10 * kron[0]
+    worst, ok = kronecker_gap([rng] * 10)  # ten pairs drawn in turn from one generator
+    assert ok, worst
 
 
 def test_merge_multiset_equality_exhaustive(rng):
@@ -152,23 +144,6 @@ def test_find_m_values_and_certificate():
     assert find_M(0.5, 3.0) >= 1
     with pytest.raises(ValueError):
         find_M(-1.0, 1.0)
-
-
-def test_tensor_lemma_rank_bound_all_pairs():
-    for a_exp, b_exp in [(2.0, 1.0), (1.5, 2.25), (2.0, 2.0), (2.0, 4.0)]:
-        report = tensor_lemma_report(a_exp, b_exp, n_max=30)
-        assert report.passed, (a_exp, b_exp)
-
-
-def test_tensor_lemma_direct_merge_route():
-    a_exp, b_exp, c = 2.0, 1.0, 1.0
-    m_const = find_M(a_exp, b_exp)
-    s = extremal_spectrum(a_exp, c, 31)
-    t = extremal_spectrum(b_exp, c, 31)
-    merged = tensor_merge([s, t], m_const * 30**3)
-    for n in range(1, 31):
-        rank = min(m_const * n**3, len(merged))
-        assert merged.a(rank) <= math.exp(-c * n) * (1 + 1e-12)
 
 
 def test_upper_bound_plain_zero_profile():
