@@ -2,10 +2,13 @@
 
 Column k of the matrix of C_phi is the coefficient vector of phi^k.  One
 circle transform (`_grid_power_columns`) gives every such column, for
-`build_matrix` and `hs_norm_sq` alike.  The diagonal polydisk map
-Phi(z) = (phi(z_1), ..., phi(z_1)) on H^2(D^N) reduces exactly to a
-one-variable matrix whose column k carries the multiplicity weight
-sqrt(C(k+N-1, N-1)); see `build_matrix`.
+`build_matrix` and `hs_norm_sq` alike.  It splits k = 0..K-1 into
+contiguous ranges, one per core, each on its own thread; each range
+rebuilds its first power with the products of the serial loop, so the
+columns do not depend on the core count, bit for bit.  The diagonal
+polydisk map Phi(z) = (phi(z_1), ..., phi(z_1)) on H^2(D^N) reduces
+exactly to a one-variable matrix whose column k carries the multiplicity
+weight sqrt(C(k+N-1, N-1)); see `build_matrix`.
 
 Sections are lower bounds of the approximation numbers that converge
 slowly for boundary-touching symbols; `kernel_lower_bound` gives lower
@@ -17,6 +20,8 @@ they are factored exactly, from products alone (`_cauchy_factor`).
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,25 +41,75 @@ __all__ = [
     "unboundedness_witness",
 ]
 
-# Bytes of samples per batched FFT call: 4 power rows at K = 2048, 8 at K = 1024.
+# Bytes of samples per batched FFT call, shared by the ranges of
+# `_grid_power_columns`: 4 power rows at K = 2048 and 8 at K = 1024 on one
+# range, 2 and 4 per range on two.  It also caps the ranges at one per
+# block of powers, so small K keeps one range.  Each FFT row is computed
+# alone, so the columns do not depend on it.
 _BLOCK_BYTES = 1 << 20
 
 
-def _grid_power_columns(spec: Symbol, truncation: int):
-    """Yield (k0, cols): cols[i] holds the coefficients of phi^(k0+i) below
-    degree K = `truncation`, for k0 + i = 0..K-1.
+def _core_count() -> int:
+    """Cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _transform_range(values, unscale, lo, hi, block, running, sink):
+    """Pass (k0, cols) to `sink` for the powers phi^k, lo <= k < hi, one
+    batched in-place FFT per `block` of rows.
+
+    Row k is row k-1 times `values`, from a row of ones, the same products
+    in the same order for every range: the rows below lo are rebuilt in
+    `block` and not transformed.  `running` holds the last row of a block.
+    """
+    truncation = unscale.size
+    k0 = 0
+    while k0 < hi:
+        b = min(len(block), (hi if k0 >= lo else lo) - k0)
+        if k0:
+            np.multiply(running, values, out=block[0])
+        else:
+            block[0] = 1.0
+        for i in range(1, b):
+            np.multiply(block[i - 1], values, out=block[i])
+        running[:] = block[b - 1]
+        if k0 >= lo:
+            # in place (needs numpy >= 2.0): a fresh output per block cost more than the FFT
+            cols = np.fft.fft(block[:b], axis=1, out=block[:b])[:, :truncation] * unscale
+            if k0 <= 1 < k0 + b:
+                norm = float(np.linalg.norm(cols[1 - k0]))
+                if norm > 1.0 + 1e-9:
+                    raise SingularEvaluationError(
+                        f"symbol is not a self-map: its coefficients have l2 norm {norm:.6g} > 1"
+                    )
+            sink(k0, cols)
+        k0 += b
+
+
+def _grid_power_columns(spec: Symbol, truncation: int, sink) -> None:
+    """Call sink(k0, cols), where cols[i] holds the coefficients of
+    phi^(k0+i) below degree K = `truncation`, until every k < K is covered.
 
     One evaluation of phi on the sampling circle (radius exp(-8/(K-1)),
     8K samples rounded up to a power of two: 16,384 at K = 2048), then
     pointwise powers and their FFTs: the discrete Cauchy integral
     c_k ~ (1/(M r^k)) sum_m f(r w^m) w^(-km) (Bornemann, Found. Comput.
-    Math. 11, 2011).  The powers are filled in row blocks of at most
-    `_BLOCK_BYTES`, and each block takes one batched FFT, in place; the
-    columns equal those of one FFT per column bit for bit.  The alias bound
-    holds uniformly in k only for sup |phi| <= 1, so two lower bounds of
-    sup |phi| are checked against 1:
-    the maximum modulus on the circle and the l2 norm of column 1 (the H^2
-    norm of phi, up to alias and rounding).
+    Math. 11, 2011).  k = 0..K-1 is split into contiguous ranges, one per
+    core but no more than the powers fill blocks of `_BLOCK_BYTES`, and
+    each range runs on its own thread, the first on the calling thread, so
+    `sink` must write each call into its own slice.  A range fills its
+    powers in row blocks that share `_BLOCK_BYTES` with the other ranges,
+    and takes one batched FFT per block, in place.  It rebuilds its first
+    power with the products of the serial loop, and every FFT row is
+    computed alone, so the columns equal those of one FFT per column bit
+    for bit, whatever the core count.  The alias bound holds uniformly in
+    k only for sup |phi| <= 1, so two lower bounds of sup |phi| are
+    checked against 1: the maximum modulus on the circle, before the
+    split, and the l2 norm of column 1 (the H^2 norm of phi, up to alias
+    and rounding), in the range that holds it.  An error in a range is
+    raised once every range has stopped.
     """
     order = truncation - 1
     r = default_radius(order)
@@ -66,27 +121,21 @@ def _grid_power_columns(spec: Symbol, truncation: int):
             f"symbol is not a self-map on the sampling circle (max modulus {top:.6g})"
         )
     unscale = 1.0 / (m * r ** np.arange(truncation))
-    rows = min(truncation, max(1, _BLOCK_BYTES // (16 * m)))
-    block = np.empty((rows, m), dtype=complex)
-    running = np.ones(m, dtype=complex)
-    for k0 in range(0, truncation, rows):
-        b = min(rows, truncation - k0)
-        if k0:
-            np.multiply(running, values, out=block[0])
-        else:
-            block[0] = running
-        for i in range(1, b):
-            np.multiply(block[i - 1], values, out=block[i])
-        running[:] = block[b - 1]
-        # in place (needs numpy >= 2.0): a fresh output per block cost more than the FFT
-        cols = np.fft.fft(block[:b], axis=1, out=block[:b])[:, :truncation] * unscale
-        if k0 <= 1 < k0 + b:
-            norm = float(np.linalg.norm(cols[1 - k0]))
-            if norm > 1.0 + 1e-9:
-                raise SingularEvaluationError(
-                    f"symbol is not a self-map: its coefficients have l2 norm {norm:.6g} > 1"
-                )
-        yield k0, cols
+    block_rows = max(1, _BLOCK_BYTES // (16 * m))
+    ranges = min(_core_count(), -(-truncation // block_rows))
+    rows = max(1, min(truncation, block_rows) // ranges)
+    blocks = np.empty((ranges, rows, m), dtype=complex)
+    running = np.empty((ranges, m), dtype=complex)
+    bounds = [j * truncation // ranges for j in range(ranges + 1)]
+    jobs = list(zip(bounds, bounds[1:], blocks, running))
+    # the first range runs on the calling thread, because each worker
+    # thread's malloc arena keeps about 1 MB more resident; with one range
+    # the pool starts no thread
+    with ThreadPoolExecutor(max_workers=max(1, ranges - 1)) as pool:
+        futures = [pool.submit(_transform_range, values, unscale, *job, sink) for job in jobs[1:]]
+        _transform_range(values, unscale, *jobs[0], sink)
+    for future in futures:
+        future.result()
 
 
 def multiplicity_weights(truncation: int, dimension: int) -> np.ndarray:
@@ -117,8 +166,11 @@ def build_matrix(spec: Symbol, truncation: int, dimension: int = 1) -> np.ndarra
         raise ValueError(f"truncation must lie in [1, {MAX_ORDER}]")
     weights = multiplicity_weights(truncation, dimension)
     entries = np.empty((truncation, truncation), dtype=complex)
-    for k0, cols in _grid_power_columns(spec, truncation):
+
+    def put(k0, cols):
         entries[:, k0 : k0 + len(cols)] = (cols * weights[k0 : k0 + len(cols), None]).T
+
+    _grid_power_columns(spec, truncation, put)
     return entries
 
 
@@ -144,8 +196,11 @@ def hs_norm_sq(spec: Symbol, truncation: int) -> HsReport:
     if truncation < 64:
         raise ValueError("Hilbert-Schmidt trend needs truncation >= 64")
     norms = np.empty(truncation)
-    for k0, cols in _grid_power_columns(spec, truncation):
+
+    def put(k0, cols):
         norms[k0 : k0 + len(cols)] = np.sum(np.abs(cols) ** 2, axis=1)
+
+    _grid_power_columns(spec, truncation, put)
     verdict = classify_series_convergence(norms)
     trend = {"summable": "converging", "not_summable": "diverging"}.get(verdict, "inconclusive")
     return HsReport(partial=float(norms.sum()), trend=trend)

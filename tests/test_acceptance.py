@@ -7,7 +7,10 @@ and sample counts, and reads the verdict that function returns, so each
 rule and threshold is written once: the kernel-ratio regimes (3), the
 Kronecker gap, pair-count oracle and merge check (4, 5), the harnesses,
 tail slope and level constant (7, 8), the covering sample (9) and the
-witness slope (10).
+witness slope (10).  The integer pair-count loop (5) and the
+supermultiplicativity loop (4) are not registry rules; they live in
+`conftest.py`, shared with the unit tests of `tensor_merge` and
+`extremal_pair_count`.
 
 Criteria 1 and 11 assert two-sided decay laws for boundary-touching
 symbols.  Monomial sections are lower bounds that have not converged in
@@ -61,7 +64,7 @@ from compoplab.symbols import (
     ShapiroTaylor,
     shipped_symbols,
 )
-from conftest import strip_lattice
+from conftest import integer_pair_count, strip_lattice, supermultiplicativity_gaps
 from polydisk_oracle import multi_index_oracle
 
 
@@ -171,14 +174,9 @@ def test_criterion_03_lens_trichotomy():
 
 def test_criterion_04_tensor_merge_correctness():
     worst, merge_ok = kronecker_gap([np.random.default_rng(seed) for seed in range(10)])
-    super_ok = True
     s = np.exp(-np.sqrt(np.arange(1, 25, dtype=float)))
     t = np.exp(-0.4 * np.arange(1, 25, dtype=float) ** 0.6)
-    merged = tensor_merge([s, t], 600)
-    for n in range(1, 21):
-        for m in range(1, 21):
-            if merged.a(n * m) < s[n - 1] * t[m - 1]:
-                super_ok = False
+    super_ok = not supermultiplicativity_gaps(tensor_merge([s, t], 600), s, t)
     ok = merge_ok and super_ok
     detail = f"max relative gap to Kronecker SVD {worst:.2e}; supermultiplicativity exact"
     assert _report(4, "tensor merge equals Kronecker SVD", ok, detail), detail
@@ -192,16 +190,8 @@ def test_criterion_05_tensor_lemma():
         # the fast pair count agrees with the double-loop oracle on floats,
         # and the combinatorial count with an integer loop
         ok = ok and report.passed and pair_count_agrees(a_exp, b_exp, (5, 9))
-        cnt_a = np.diff(np.floor(np.arange(0, 12, dtype=float) ** a_exp).astype(int))
-        cnt_b = np.diff(np.floor(np.arange(0, 12, dtype=float) ** b_exp).astype(int))
         for n in (5, 9):
-            integer_loop = sum(
-                int(cnt_a[p - 1]) * int(cnt_b[q - 1])
-                for p in range(1, n)
-                for q in range(1, n)
-                if p + q <= n - 1
-            )
-            ok = ok and int(report.nu[n - 1]) == integer_loop
+            ok = ok and int(report.nu[n - 1]) == integer_pair_count(a_exp, b_exp, n)
         details.append(f"A={a_exp:g},B={b_exp:g}: M={report.m_const}")
     # direct merged-spectrum confirmation for the smallest pair
     ok = ok and merge_check(2.0, 1.0)[2]

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 import compoplab as C
+from compoplab import operators
 from compoplab.operators import (
     build_matrix,
     hs_norm_sq,
@@ -213,6 +215,76 @@ def test_columns_reject_a_map_that_leaves_the_disk_off_the_circle():
     with pytest.raises(SingularEvaluationError, match="l2 norm 1.13"):
         build_matrix(_WideLine(), 2)
     assert np.array_equal(build_matrix(_WideLine(), 1), [[1.0]])
+
+
+def _record_ranges(monkeypatch, cores):
+    """Run the circle transform as if on `cores` cores; the returned list
+    gathers the (lo, hi) of every range it runs."""
+    monkeypatch.setattr(operators, "_core_count", lambda: cores)
+    seen = []
+    transform = operators._transform_range
+
+    def record(values, unscale, lo, hi, *rest):
+        seen.append((lo, hi))
+        transform(values, unscale, lo, hi, *rest)
+
+    monkeypatch.setattr(operators, "_transform_range", record)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "spec, truncation, cores, bounds",
+    [
+        (ShapiroTaylor(3.0), 2048, 2, (0, 1024, 2048)),  # on a block boundary
+        (Cusp(), 1001, 3, (0, 333, 667, 1001)),  # off the block grid
+        (Lens(0.5), 64, 4, (0, 64)),  # the powers fill one block: one range
+    ],
+)
+def test_core_count_does_not_change_the_columns(monkeypatch, spec, truncation, cores, bounds):
+    seen = _record_ranges(monkeypatch, 1)
+    matrix, report = build_matrix(spec, truncation), hs_norm_sq(spec, truncation)
+    assert seen == [(0, truncation)] * 2
+    seen = _record_ranges(monkeypatch, cores)
+    assert np.array_equal(build_matrix(spec, truncation), matrix)
+    assert hs_norm_sq(spec, truncation) == report
+    assert sorted(seen) == sorted(list(zip(bounds, bounds[1:])) * 2)
+
+
+def test_a_rejection_waits_for_the_other_ranges(monkeypatch):
+    # one power row per block, so K = 64 splits into one range per core
+    monkeypatch.setattr(operators, "_BLOCK_BYTES", 1)
+    monkeypatch.setattr(operators, "_core_count", lambda: 4)
+    transform = operators._transform_range
+    raised = threading.Event()
+    finished = []
+
+    def hold(values, unscale, lo, hi, *rest):
+        # the ranges without column 1 start once the range with it has raised
+        if not lo <= 1 < hi:
+            assert raised.wait(10)
+        try:
+            transform(values, unscale, lo, hi, *rest)
+        except SingularEvaluationError:
+            raised.set()
+            raise
+        finally:
+            finished.append((lo, hi))
+
+    monkeypatch.setattr(operators, "_transform_range", hold)
+    threads = threading.active_count()
+    # column 1 lies in the first of four ranges at K = 64, and is the second
+    # of two ranges at K = 2
+    for call, spec, truncation, message, ranges in (
+        (build_matrix, _HighPeak(), 64, "l2 norm 1.27", 4),
+        (hs_norm_sq, _HighPeak(), 64, "l2 norm 1.27", 4),
+        (build_matrix, _WideLine(), 2, "l2 norm 1.13", 2),
+    ):
+        raised.clear()
+        finished.clear()
+        with pytest.raises(SingularEvaluationError, match=message):
+            call(spec, truncation)
+        assert len(finished) == ranges
+        assert threading.active_count() == threads
 
 
 def test_kernel_ratio_at_origin():
