@@ -57,6 +57,5 @@ from .harmonic import (
     HalfPlaneRegion,
     HarmonicMeasureEstimate,
     covering_count,
-    wos_harmonic_measure,
     wos_harmonic_measures,
 )

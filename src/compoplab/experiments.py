@@ -25,7 +25,6 @@ from .harmonic import (
     GraphChannel,
     HalfPlaneRegion,
     covering_count,
-    wos_harmonic_measure,
     wos_harmonic_measures,
 )
 from .operators import (
@@ -79,6 +78,12 @@ __all__ = [
     "level_constant",
     "covering_sample",
     "witness_growth",
+    "section_decay",
+    "hs_dichotomy",
+    "blaschke_passage",
+    "contraction_floor",
+    "schedule_route",
+    "radius_stability",
 ]
 
 
@@ -142,24 +147,16 @@ def _exp_cusp_diagonal(rec: _Recorder):
     truncation = 1024
     # the N-sweep scales the N = 1 columns instead of extracting them again
     base = build_matrix(Cusp(), truncation)
-    profile = rho_profile(Cusp(), samples=1 << 18)
-    # mandatory boundary-radius cross-check: derived measures must be stable
-    crosscheck = rho_profile(Cusp(), samples=1 << 18, r_b=CROSSCHECK_BOUNDARY_RADIUS)
-    radius_gap = float(
-        max(
-            np.max(np.abs(profile.rho_hat - crosscheck.rho_hat)),
-            np.max(np.abs(profile.level_hat - crosscheck.level_hat)),
-        )
-    )
+    profile, radius_gap, ok = radius_stability(Cusp(), 1 << 18)
     rec.check(
         "boundary-radius stability of the measured profile",
-        radius_gap < 1e-3,
-        f"max shift {radius_gap:.2e} between r_b=1-1e-8 and 1-1e-6",
+        ok,
+        f"max shift {radius_gap:.2e} between r_b=1-1e-8 and 1-1e-6 (need < 1e-3)",
     )
     fits = []
     for dim in (1, 2, 3):
         spec = singular_values(base * multiplicity_weights(truncation, dim))
-        fit = decay_fit(spec, "stretched_exp", (20, 300))
+        fit, _, detail, ok = section_decay(spec, (20, 300), 0.45)
         rows = [(n, spec.a(n)) for n in range(1, 401)]
         rec.table(f"spectrum_n{dim}", ["n", "s_n"], rows)
         fits.append(
@@ -173,11 +170,7 @@ def _exp_cusp_diagonal(rec: _Recorder):
             )
         )
         if dim >= 2:
-            rec.check(
-                f"cusp-diagonal N={dim}: sqrt-exponential decay",
-                fit.params["rate"] > 0 and fit.params["exponent"] >= 0.45,
-                f"alpha={fit.params['exponent']:.3f} rate={fit.params['rate']:.3f}",
-            )
+            rec.check(f"cusp-diagonal N={dim}: sqrt-exponential decay", ok, detail)
             gamma = dim - 2
             ns = [16, 32, 64, 128, 256]
             bound_rows = []
@@ -277,12 +270,12 @@ def harness_pair(samples: int, seed: int):
     """Walk-on-spheres calibration: (the disk half-arc estimate at `seed`, the
     half-plane segment (-1, 1) estimate at `seed + 1`, whether each lies within
     3 half-widths of its exact measure 1/2)."""
-    disk = wos_harmonic_measure(
-        DiskRegion(), lambda p: np.abs(np.angle(p)) <= math.pi / 2.0, samples=samples, seed=seed
-    )
-    half = wos_harmonic_measure(
-        HalfPlaneRegion(), lambda p: np.abs(p.real) < 1.0, samples=samples, seed=seed + 1
-    )
+    disk = wos_harmonic_measures(
+        DiskRegion(), [lambda p: np.abs(np.angle(p)) <= math.pi / 2.0], samples=samples, seed=seed
+    )[0]
+    half = wos_harmonic_measures(
+        HalfPlaneRegion(), [lambda p: np.abs(p.real) < 1.0], samples=samples, seed=seed + 1
+    )[0]
     ok = tuple(bool(abs(e.probability - 0.5) <= 3.0 * e.ci_halfwidth) for e in (disk, half))
     return disk, half, ok
 
@@ -347,6 +340,99 @@ def witness_growth(points: int):
     return ns, witnesses, slope, bool(abs(slope - 0.25) <= 0.03)
 
 
+def section_decay(spec, fit_range, min_exponent: float):
+    """(stretched-exponential fit of s_n on `fit_range`, d = -slope of log s_n
+    against sqrt n there, a detail line, whether the rate and d are positive, the
+    exponent is at least `min_exponent` and R^2 >= 0.98).  The detail also marks
+    the fitted points under the float floor 1e-13 s_1; the floor is not gated."""
+    lo, hi = fit_range
+    fit = decay_fit(spec, "stretched_exp", fit_range)
+    logs = np.log(spec.values[lo - 1 : hi])
+    d_rate = -linear_fit(np.sqrt(np.arange(lo, hi + 1, dtype=float)), logs)[0]
+    under = np.flatnonzero(spec.values < 1e-13 * spec.values[0]) + 1
+    fitted = np.count_nonzero((under >= lo) & (under <= hi))
+    alpha, rate = fit.params["exponent"], fit.params["rate"]
+    detail = (
+        f"alpha={alpha:.3f} rate={rate:.3f} d={d_rate:.2f} R2={fit.r_squared:.4f}, "
+        f"s_n < 1e-13*s_1 from n={under[0] if under.size else None}, "
+        f"{fitted}/{hi - lo + 1} fitted points under it"
+    )
+    ok = rate > 0 and d_rate > 0 and alpha >= min_exponent and fit.r_squared >= 0.98
+    return fit, d_rate, detail, bool(ok)
+
+
+def hs_dichotomy(thetas, truncation: int):
+    """(Hilbert-Schmidt reports of ShapiroTaylor(theta) at `truncation`, the trend
+    each must read ("diverging" below theta = 2, "converging" above, None at 2),
+    whether each report reads it)."""
+    reports = [hs_norm_sq(ShapiroTaylor(theta), truncation) for theta in thetas]
+    expected = [None if t == 2.0 else "diverging" if t < 2.0 else "converging" for t in thetas]
+    oks = tuple(e is None or r.trend == e for r, e in zip(reports, expected))
+    return reports, expected, oks
+
+
+_BLASCHKE_ZERO = 0.5  # a of the Blaschke square both Blaschke checks use
+
+
+def blaschke_passage(samples: int, hs):
+    """(rows (inner, h, m(|B o sigma| > 1 - h), m(1 - |sigma| <= kappa h), kappa),
+    kappa = 4/(1 - a^2), whether every first mass is at most the second + 1e-15):
+    the level-set passage under the Blaschke square B of zero a = 0.5, on `samples`
+    equispaced boundary points of the cusp and of Lens(0.5)."""
+    a = _BLASCHKE_ZERO
+    kappa = 4.0 / (1.0 - a * a)
+    blaschke = BlaschkeSquare(a)
+    t = 2.0 * np.pi * np.arange(samples) / samples
+    rows = []
+    for name, inner in (("cusp", Cusp()), ("lens-half", Lens(0.5))):
+        sigma_vals = inner.boundary(t)
+        psi_vals = blaschke.evaluate(sigma_vals)
+        for h in hs:
+            lhs = float(np.mean(np.abs(psi_vals) > 1.0 - h))
+            rhs = float(np.mean(1.0 - np.abs(sigma_vals) <= kappa * h))
+            rows.append((name, h, lhs, rhs, kappa))
+    return rows, kappa, all(row[2] <= row[3] + 1e-15 for row in rows)
+
+
+def contraction_floor(points):
+    """(smallest Blaschke contraction ratio (1 - |B(z)|)/(1 - |z|) over `points`,
+    the floor (1 - a^2)/4, whether the ratio is at least the floor - 1e-12), a = 0.5."""
+    a = _BLASCHKE_ZERO
+    ratio = min(blaschke_contraction_ratio(a, complex(z)) for z in points)
+    floor = (1.0 - a * a) / 4.0
+    return ratio, floor, bool(ratio >= floor - 1e-12)
+
+
+def schedule_route(eps, grid_points: int):
+    """(probes n = 16, 64, 256, 1024, eps_n, plain bounds, targets 2 e^(-n eps_n),
+    whether every bound is at most its target (1 + 1e-12)): `upper_bound_plain` of
+    the profile h delta(h)^2, delta calibrated by the schedule `eps`, on
+    `grid_points` log-spaced h in [1e-3, 0.9] joined by the eps_n, so the infimum
+    reaches the adjusted choice h = eps_n."""
+    delta = delta_from_epsilon(eps, n_max=4096)
+    n_probe = np.array([16, 64, 256, 1024])
+    eps_vals = eps(n_probe)
+    h_grid = np.unique(np.concatenate([np.geomspace(0.9, 1e-3, grid_points), eps_vals]))[::-1]
+    profile = CarlesonProfile.synthetic(h_grid, lambda h: h * float(delta(h)) ** 2)
+    plain = np.array([upper_bound_plain(profile, int(n)) for n in n_probe])
+    target = 2.0 * np.exp(-n_probe * eps_vals)
+    return n_probe, eps_vals, plain, target, bool(np.all(plain <= target * (1.0 + 1e-12)))
+
+
+def radius_stability(spec, samples: int):
+    """(`rho_profile` of `spec` at the default boundary radius 1 - 1e-8, the largest
+    shift of its window and level masses at r_b = 1 - 1e-6, whether it is below 1e-3)."""
+    profile = rho_profile(spec, samples=samples)
+    crosscheck = rho_profile(spec, samples=samples, r_b=CROSSCHECK_BOUNDARY_RADIUS)
+    gap = float(
+        max(
+            np.max(np.abs(profile.rho_hat - crosscheck.rho_hat)),
+            np.max(np.abs(profile.level_hat - crosscheck.level_hat)),
+        )
+    )
+    return profile, gap, gap < 1e-3
+
+
 def _exp_lens_trichotomy(rec: _Recorder):
     dim = 2
     for theta in (0.25, 0.5, 1.0):
@@ -373,17 +459,13 @@ def _exp_lens_trichotomy(rec: _Recorder):
                 )
         else:
             spec = singular_values(build_matrix(Lens(theta), 512, dim))
-            fit = decay_fit(spec, "stretched_exp", (20, 200))
+            _, _, detail, ok = section_decay(spec, (20, 200), 0.4)
             rec.table(
                 f"spectrum_theta{theta:.4f}".replace(".", "p"),
                 ["n", "s_n"],
                 [(n, spec.a(n)) for n in range(1, 301)],
             )
-            rec.check(
-                f"theta={theta:g}: compact sqrt-exponential decay",
-                fit.params["rate"] > 0 and fit.params["exponent"] >= 0.4,
-                f"alpha={fit.params['exponent']:.3f} rate={fit.params['rate']:.3f}",
-            )
+            rec.check(f"theta={theta:g}: compact sqrt-exponential decay", ok, detail)
 
 
 def _exp_tensor_lemma(rec: _Recorder):
@@ -498,40 +580,17 @@ def _exp_spiral_harmonic(rec: _Recorder):
 
 def _exp_blaschke_passage(rec: _Recorder):
     cfg = rec.config
-    a = 0.5
-    kappa = 4.0 / (1.0 - a * a)
-    blaschke = BlaschkeSquare(a)
-    samples = cfg.samples or (1 << 18)
-    t = 2.0 * np.pi * np.arange(samples) / samples
     hs = 2.0 ** -np.arange(1, 9, dtype=float)
-    rows = []
-    all_ok = True
-    for name, inner in (("cusp", Cusp()), ("lens-half", Lens(0.5))):
-        sigma_vals = inner.boundary(t)
-        psi_vals = blaschke.evaluate(sigma_vals)
-        for h in hs:
-            lhs = float(np.mean(np.abs(psi_vals) > 1.0 - h))
-            rhs = float(np.mean(1.0 - np.abs(sigma_vals) <= kappa * h))
-            rows.append((name, h, lhs, rhs, kappa))
-            all_ok = all_ok and lhs <= rhs + 1e-15
+    rows, kappa, ok = blaschke_passage(cfg.samples or (1 << 18), hs)
     rec.table("level_domination", ["inner", "h", "mass_psi", "mass_sigma_scaled", "kappa"], rows)
-    rec.check("level-set passage under the Blaschke square", all_ok, f"kappa={kappa:g}")
+    rec.check("level-set passage under the Blaschke square", ok, f"kappa={kappa:g}")
 
     rng = np.random.default_rng(cfg.seed)
     z = rng.uniform(-0.99, 0.99, 10**4) + 1j * rng.uniform(-0.99, 0.99, 10**4)
     z = z[np.abs(z) < 0.999]
-    ratios = np.array([blaschke_contraction_ratio(a, complex(w)) for w in z[:2000]])
-    floor = (1.0 - a * a) / 4.0
-    rec.table(
-        "contraction",
-        ["min_ratio", "floor"],
-        [(float(ratios.min()), floor)],
-    )
-    rec.check(
-        "contraction ratio floor",
-        bool(ratios.min() >= floor - 1e-12),
-        f"min={ratios.min():.4f} floor={floor:.4f}",
-    )
+    ratio, floor, ok = contraction_floor(z[:2000])
+    rec.table("contraction", ["min_ratio", "floor"], [(ratio, floor)])
+    rec.check("contraction ratio floor", ok, f"min={ratio:.4f} floor={floor:.4f}")
 
 
 def _exp_polydisk_pairs(rec: _Recorder):
@@ -586,18 +645,7 @@ def _exp_polydisk_pairs(rec: _Recorder):
     )
 
     # item 3: tensor route with the schedule eps_n = n^(-1/(4N-7))
-    eps = epsilon_tensor(dim)
-    delta = delta_from_epsilon(eps, n_max=4096)
-    n_probe = np.array([16, 64, 256, 1024])
-    eps_vals = eps(n_probe)
-    # grid must contain the probe values eps_n so the infimum reaches
-    # the adjusted choice h = eps_n
-    h_grid = np.unique(np.concatenate([np.geomspace(0.9, 1e-3, 25), eps_vals]))[::-1]
-    route_profile = CarlesonProfile.synthetic(
-        h_grid, lambda h: min(h * float(delta(h)) ** 2, 1.0)
-    )
-    plain = np.array([upper_bound_plain(route_profile, int(n)) for n in n_probe])
-    target = 2.0 * np.exp(-n_probe * eps_vals)
+    n_probe, eps_vals, plain, target, ok = schedule_route(epsilon_tensor(dim), 25)
     rec.table(
         "schedule_route",
         ["n", "eps_n", "plain_bound", "schedule_target"],
@@ -605,8 +653,9 @@ def _exp_polydisk_pairs(rec: _Recorder):
     )
     rec.check(
         "schedule-calibrated bound",
-        bool(np.all(plain <= target * (1.0 + 1e-9))),
-        "plain bound within 2 e^{-n eps_n}",
+        ok,
+        f"plain bound within 2 e^{{-n eps_n}}: max bound/target - 1 = "
+        f"{np.max(plain / target - 1.0):.1e} (slack 1e-12)",
     )
     a_exp, b_exp = 1.5, dim - 7.0 / 4.0
     report = tensor_lemma_report(a_exp, b_exp, n_max=20)
@@ -682,17 +731,17 @@ def _exp_shapiro_taylor(rec: _Recorder):
         )
     rec.table("poly_fits", ["theta", "power", "r_squared", "min_scaled"], fit_rows)
 
-    hs_rows = []
-    for theta, expected in ((1.5, "diverging"), (2.0, None), (3.0, "converging")):
-        report = hs_norm_sq(ShapiroTaylor(theta), 2048)
-        hs_rows.append((theta, report.partial, report.trend))
-        if expected:
-            rec.check(
-                f"theta={theta:g}: Hilbert-Schmidt trend {expected}",
-                report.trend == expected,
-                f"trend={report.trend}",
-            )
-    rec.table("hs_trends", ["theta", "partial", "trend"], hs_rows)
+    thetas = (1.5, 2.0, 3.0)
+    reports, expected, oks = hs_dichotomy(thetas, 2048)
+    for theta, report, trend, ok in zip(thetas, reports, expected, oks):
+        if trend:
+            name = f"theta={theta:g}: Hilbert-Schmidt trend {trend}"
+            rec.check(name, ok, f"trend={report.trend}")
+    rec.table(
+        "hs_trends",
+        ["theta", "partial", "trend"],
+        [(theta, r.partial, r.trend) for theta, r in zip(thetas, reports)],
+    )
 
 
 REGISTRY = {

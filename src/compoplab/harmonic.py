@@ -23,7 +23,6 @@ __all__ = [
     "DiskRegion",
     "HalfPlaneRegion",
     "GraphChannel",
-    "wos_harmonic_measure",
     "wos_harmonic_measures",
     "covering_count",
 ]
@@ -289,10 +288,6 @@ def wos_harmonic_measures(
             )
         )
     return out
-
-
-def wos_harmonic_measure(region, target, **kwargs) -> HarmonicMeasureEstimate:
-    return wos_harmonic_measures(region, [target], **kwargs)[0]
 
 
 def covering_count(region: GraphChannel, w: complex | np.ndarray) -> int | np.ndarray:

@@ -4,10 +4,13 @@ PASS/FAIL line with the measured quantities.
 Where a registry experiment checks the same claim, the criterion calls
 the same public function of `compoplab.experiments` with its own seeds
 and sample counts, and reads the verdict that function returns, so each
-rule and threshold is written once: the kernel-ratio regimes (3), the
-Kronecker gap, pair-count oracle and merge check (4, 5), the harnesses,
-tail slope and level constant (7, 8), the covering sample (9) and the
-witness slope (10).  The integer pair-count loop (5) and the
+rule and threshold is written once: the section decay law (2), the
+kernel-ratio regimes (3), the Kronecker gap, pair-count oracle and merge
+check (4, 5), the harnesses, tail slope and level constant (7, 8), the
+covering sample (9), the witness slope (10) and the Hilbert-Schmidt
+dichotomy (11).  Criterion 2 also prints where its sections fall under
+the float floor 1e-13 s_1; that is reported, not gated.  The integer
+pair-count loop (5) and the
 supermultiplicativity loop (4) are not registry rules; they live in
 `conftest.py`, shared with the unit tests of `tensor_merge` and
 `extremal_pair_count`.
@@ -16,10 +19,11 @@ Criteria 1 and 11 assert two-sided decay laws for boundary-touching
 symbols.  Monomial sections are lower bounds that have not converged in
 the stated ranges and fall under the float64 floor inside them, so these
 two criteria read their spectrum from the reproducing-kernel lower bound
-`kernel_lower_bound` on a lattice of strip nodes instead.  Each fits its
-full requested range, keeps the bound's float floor below every fitted
-value, and checks that a nested refinement of the lattice moves the
-fitted values by less than 1%.
+`kernel_lower_bound` on a lattice of strip nodes instead.  Both check
+the same kernel clauses in `_kernel_law`: the fit covers the full
+requested range, the bound's float floor lies below every fitted value,
+and a nested refinement of the lattice moves the fitted values by less
+than 1%.  Each keeps its own law clauses.
 """
 
 import math
@@ -34,6 +38,7 @@ from compoplab.experiments import (
     ExperimentConfig,
     covering_sample,
     harness_pair,
+    hs_dichotomy,
     kernel_slope,
     kernel_sweep,
     kronecker_gap,
@@ -41,16 +46,16 @@ from compoplab.experiments import (
     merge_check,
     pair_count_agrees,
     run,
+    section_decay,
     spiral_ensemble,
     tail_slope,
     witness_growth,
 )
 from compoplab.harmonic import GraphChannel
-from compoplab.operators import build_matrix, hs_norm_sq, kernel_lower_bound, multiplicity_weights
+from compoplab.operators import build_matrix, kernel_lower_bound, multiplicity_weights
 from compoplab.series import PowerSeries
 from compoplab.spectra import (
     decay_fit,
-    linear_fit,
     singular_values,
     tensor_lemma_report,
     tensor_merge,
@@ -92,42 +97,42 @@ def _hits(estimates):
     return [round(e.probability * e.samples) for e in estimates]
 
 
-def _refinement_delta(coarse, fine, hi):
-    """Largest relative move of s_20..s_hi under a nested node refinement."""
-    if len(fine) < hi:
-        return math.inf
-    return float(np.max(np.abs(fine.values[19:hi] / coarse.values[19:hi] - 1.0)))
+def _kernel_law(symbol, nodes, extra, model, hi):
+    """The kernel lower bound of `symbol` on `nodes`, its `model` fit on [20, hi],
+    the seconds both took, a detail line, and the clauses criteria 1 and 11
+    share: the fit covers [20, hi], the float floor lies below s_hi, and the
+    nested refinement by `extra` nodes moves s_20..s_hi by less than 1%."""
+    start = time.perf_counter()
+    spectrum = kernel_lower_bound(symbol, nodes)
+    fit = decay_fit(spectrum, model, (20, hi))
+    elapsed = time.perf_counter() - start
+    fine = kernel_lower_bound(symbol, np.append(nodes, extra))
+    delta = math.inf
+    if len(fine) >= hi:
+        delta = float(np.max(np.abs(fine.values[19:hi] / spectrum.values[19:hi] - 1.0)))
+    ok = fit.fit_range == (20, hi) and spectrum.floor < spectrum.a(hi) and delta < 0.01
+    detail = (
+        f"kernel lower bound on {spectrum.truncation} nodes, float floor {spectrum.floor:.1e} "
+        f"vs s_{hi}={spectrum.a(hi):.3e}, +{extra.size} nodes at Im=+-{extra.imag.max():g} "
+        f"move s_n on [20,{hi}] by {delta:.1e} relative (need < 1e-2)"
+    )
+    return spectrum, fit, elapsed, detail, ok
 
 
 def test_criterion_01_lens_decay_law():
-    lens = Lens(0.5)
     nodes = np.concatenate(
         [
             strip_lattice(-200.0, 200.0, 0.9, (0.0, 0.6, -0.6)),
             strip_lattice(-200.0, 200.0, 1.8, (1.1, -1.1)),
         ]
     )
-    start = time.perf_counter()
-    spectrum = kernel_lower_bound(lens, nodes)
-    fit = decay_fit(spectrum, "stretched_exp", (20, 300))
-    elapsed = time.perf_counter() - start
     extra = strip_lattice(-200.0, 200.0, 1.8, (1.35, -1.35))
-    delta = _refinement_delta(spectrum, kernel_lower_bound(lens, np.append(nodes, extra)), 300)
+    _, fit, elapsed, kernel, ok = _kernel_law(Lens(0.5), nodes, extra, "stretched_exp", 300)
     alpha = fit.params["exponent"]
-    ok = (
-        0.45 <= alpha <= 0.55
-        and fit.r_squared >= 0.98
-        and elapsed <= 120.0
-        and fit.fit_range == (20, 300)
-        and spectrum.floor < spectrum.a(300)
-        and delta < 0.01
-    )
+    ok = ok and 0.45 <= alpha <= 0.55 and fit.r_squared >= 0.98 and elapsed <= 120.0
     detail = (
         f"alpha={alpha:.4f} (window [0.45,0.55]), R2={fit.r_squared:.4f} (need >= 0.98), "
-        f"{elapsed:.0f}s (budget 120s); kernel lower bound on {spectrum.truncation} nodes, "
-        f"float floor {spectrum.floor:.1e} vs s_300={spectrum.a(300):.3e}; "
-        f"+{extra.size} nodes at Im=+-1.35 move s_n on [20,300] by {delta:.1e} relative "
-        f"(need < 1e-2)"
+        f"{elapsed:.0f}s (budget 120s); {kernel}"
     )
     assert _report(1, "lens decay law, kernel lower bound, fit on [20,300]", ok, detail), detail
 
@@ -135,26 +140,14 @@ def test_criterion_01_lens_decay_law():
 def test_criterion_02_cusp_diagonal():
     start = time.perf_counter()
     base = build_matrix(Cusp(), 1024)
-    ok = True
-    details = []
-    for dim in (2, 3):
-        spectrum = singular_values(base * multiplicity_weights(1024, dim))
-        fit = decay_fit(spectrum, "stretched_exp", (20, 300))
-        n = np.arange(20, 301, dtype=float)
-        logs = np.log(spectrum.values[19:300])
-        d_rate = -linear_fit(np.sqrt(n), logs)[0]
-        ok = ok and d_rate > 0.0 and fit.params["exponent"] >= 0.45
-        # reported, not gated: the fit reaches below the float64 floor
-        floor = 1e-13 * spectrum.values[0]
-        first_under = int(np.argmax(spectrum.values < floor)) + 1
-        under = int(np.count_nonzero(spectrum.values[19:300] < floor))
-        details.append(
-            f"N={dim}: d={d_rate:.2f}, alpha={fit.params['exponent']:.3f}, "
-            f"s_n < 1e-13*s_1 from n={first_under}, {under}/{n.size} fitted points under it"
-        )
+    dims = (2, 3)
+    laws = [
+        section_decay(singular_values(base * multiplicity_weights(1024, dim)), (20, 300), 0.45)
+        for dim in dims
+    ]
     elapsed = time.perf_counter() - start
-    ok = ok and elapsed <= 300.0
-    detail = "; ".join(details) + f"; {elapsed:.0f}s"
+    ok = all(law[-1] for law in laws) and elapsed <= 300.0
+    detail = "; ".join(f"N={dim}: {law[2]}" for dim, law in zip(dims, laws)) + f"; {elapsed:.0f}s"
     assert _report(2, "cusp diagonal sqrt-exponential bound, N in {2,3}", ok, detail), detail
 
 
@@ -254,35 +247,21 @@ def test_criterion_11_shapiro_taylor():
     nodes = strip_lattice(-10.0, 100.0, 0.7, (0.0, 0.45, -0.45, 0.9, -0.9))
     extra = strip_lattice(-10.0, 100.0, 0.7, (1.2, -1.2))
     for theta in (1.5, 2.0):
-        spectrum = kernel_lower_bound(ShapiroTaylor(theta), nodes)
-        fit = decay_fit(spectrum, "poly", (20, 200))
-        n = np.arange(20, 201, dtype=float)
-        scaled = n ** (theta / 2.0) * spectrum.values[19:200]
-        delta = _refinement_delta(
-            spectrum, kernel_lower_bound(ShapiroTaylor(theta), np.append(nodes, extra)), 200
+        spectrum, fit, _, kernel, kernel_ok = _kernel_law(
+            ShapiroTaylor(theta), nodes, extra, "poly", 200
         )
+        scaled = np.arange(20, 201, dtype=float) ** (theta / 2.0) * spectrum.values[19:200]
         power_ok = fit.params["power"] <= theta / 2.0 + 0.3
         scaled_ok = float(scaled.min()) >= 0.25 * float(scaled[0])
-        ok = (
-            ok
-            and power_ok
-            and scaled_ok
-            and fit.fit_range == (20, 200)
-            and spectrum.floor < spectrum.a(200)
-            and delta < 0.01
-        )
+        ok = ok and kernel_ok and power_ok and scaled_ok
         details.append(
             f"theta={theta:g}: p={fit.params['power']:.2f} "
             f"(need <= {theta / 2 + 0.3:.2f}), min scaled/first="
-            f"{scaled.min() / scaled[0]:.2f} (need >= 0.25), {spectrum.truncation} nodes, "
-            f"float floor {spectrum.floor:.1e} vs s_200={spectrum.a(200):.3e}, "
-            f"+{extra.size} nodes at Im=+-1.2 move s_n by {delta:.1e} relative (need < 1e-2)"
+            f"{scaled.min() / scaled[0]:.2f} (need >= 0.25), {kernel}"
         )
-    hs_div = hs_norm_sq(ShapiroTaylor(1.5), 2048).trend
-    hs_conv = hs_norm_sq(ShapiroTaylor(3.0), 2048).trend
-    hs_ok = hs_div == "diverging" and hs_conv == "converging"
-    ok = ok and hs_ok
-    details.append(f"HS trends: theta=1.5 {hs_div}, theta=3 {hs_conv}")
+    reports, _, hs_oks = hs_dichotomy((1.5, 3.0), 2048)
+    ok = ok and all(hs_oks)
+    details.append(f"HS trends: theta=1.5 {reports[0].trend}, theta=3 {reports[1].trend}")
     detail = "; ".join(details)
     assert _report(11, "Shapiro-Taylor polynomial law and HS dichotomy", ok, detail), detail
 

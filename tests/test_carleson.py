@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from compoplab.carleson import CarlesonProfile, rho_profile
+from compoplab.experiments import radius_stability
 from compoplab.series import PowerSeries
 from compoplab.spectra import linear_fit
 from compoplab.symbols import (
-    CROSSCHECK_BOUNDARY_RADIUS,
     Cusp,
     ExplicitSeries,
     Identity,
@@ -87,15 +87,9 @@ def test_compactness_heuristic_ratio():
 
 
 def test_profiles_stable_under_boundary_radius(roster):
-    tol = max(1e-3, 3.0 / math.sqrt(1 << 16))
     for name, spec in roster.items():
-        p1 = rho_profile(spec, samples=1 << 16)
-        p2 = rho_profile(spec, samples=1 << 16, r_b=CROSSCHECK_BOUNDARY_RADIUS)
-        gap = max(
-            float(np.max(np.abs(p1.rho_hat - p2.rho_hat))),
-            float(np.max(np.abs(p1.level_hat - p2.level_hat))),
-        )
-        assert gap < tol, name
+        _, gap, ok = radius_stability(spec, 1 << 16)
+        assert ok, (name, gap)
 
 
 def test_profile_validation():

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from compoplab.cli import build_parser, main
-from compoplab.experiments import REGISTRY, Assertion, ExperimentConfig, run
+from compoplab.experiments import REGISTRY, ExperimentConfig, run
 
 
 EXPECTED_IDS = {
@@ -43,16 +43,7 @@ def test_tensor_lemma_run_writes_tables_and_manifest(tmp_path):
         assert meta["seed"] == 3
 
 
-@pytest.mark.parametrize("experiment", ["cusp-diagonal", "lens-trichotomy", "polydisk-pairs"])
-def test_registry_experiment_passes_at_seed_0(experiment, tmp_path):
-    manifest = run(ExperimentConfig(experiment=experiment, out=str(tmp_path), seed=0))
-    assert manifest.status == "pass", manifest.assertions
-    assert manifest.tables
-    for name in manifest.tables:
-        assert (Path(manifest.out_dir) / f"{name}.csv").is_file(), name
-
-
-ROOT =Path(__file__).resolve().parent.parent
+ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 

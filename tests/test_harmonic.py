@@ -17,7 +17,6 @@ from compoplab.harmonic import (
     HalfPlaneRegion,
     HarmonicMeasureEstimate,
     covering_count,
-    wos_harmonic_measure,
     wos_harmonic_measures,
 )
 
@@ -131,7 +130,7 @@ def test_distance_is_tight_where_walks_step(channel):
     # the first shrink of the horizon alone has a median of 0.32 of the
     # true distance
     region = _RecordingRegion(channel)
-    wos_harmonic_measure(region, lambda p: p.imag > 0, samples=500, seed=3)
+    wos_harmonic_measures(region, [lambda p: p.imag > 0], samples=500, seed=3)
     positions = np.concatenate(region.points)
     steep = positions[(positions.real >= 0.5) & (positions.real <= 2.0)]
     assert steep.size > 0.5 * positions.size
@@ -260,7 +259,7 @@ def test_channel_tail_decays_exponentially(channel):
 
 def test_multi_target_matches_single_target(channel):
     y = channel.alpha + 1.0
-    single = wos_harmonic_measure(channel, lambda p: p.imag > y, samples=20000, seed=5)
+    single = wos_harmonic_measures(channel, [lambda p: p.imag > y], samples=20000, seed=5)[0]
     multi = wos_harmonic_measures(
         channel, [lambda p: p.imag > y, lambda p: p.imag > y + 1.0], samples=20000, seed=5
     )
@@ -270,10 +269,10 @@ def test_multi_target_matches_single_target(channel):
 
 def test_absorption_tolerance_sensitivity(channel):
     y = channel.alpha + 1.0
-    a = wos_harmonic_measure(channel, lambda p: p.imag > y, samples=3 * 10**4, seed=21)
-    b = wos_harmonic_measure(
-        channel, lambda p: p.imag > y, samples=3 * 10**4, seed=21, eps_absorb=5e-7
-    )
+    a = wos_harmonic_measures(channel, [lambda p: p.imag > y], samples=3 * 10**4, seed=21)[0]
+    b = wos_harmonic_measures(
+        channel, [lambda p: p.imag > y], samples=3 * 10**4, seed=21, eps_absorb=5e-7
+    )[0]
     assert abs(a.probability - b.probability) <= 2.0 * (a.ci_halfwidth + b.ci_halfwidth)
 
 
@@ -281,7 +280,8 @@ def test_level_set_tail_contract(channel):
     # the level set {|e^-w| > 1 - h} is {Re w < -log(1 - h)}, shrinking with h
     def level(h):
         cut = -math.log1p(-h)
-        return wos_harmonic_measure(channel, lambda p: p.real < cut, samples=2 * 10**4, seed=31)
+        target = [lambda p: p.real < cut]
+        return wos_harmonic_measures(channel, target, samples=2 * 10**4, seed=31)[0]
 
     # one seed scores every target on the same walks, so nested level sets
     # give exactly non-increasing hit counts
@@ -294,8 +294,8 @@ def test_level_set_tail_contract(channel):
 
 def test_wos_deterministic_given_seed(channel):
     y = channel.alpha + 1.0
-    a = wos_harmonic_measure(channel, lambda p: p.imag > y, samples=10**4, seed=77)
-    b = wos_harmonic_measure(channel, lambda p: p.imag > y, samples=10**4, seed=77)
+    a = wos_harmonic_measures(channel, [lambda p: p.imag > y], samples=10**4, seed=77)[0]
+    b = wos_harmonic_measures(channel, [lambda p: p.imag > y], samples=10**4, seed=77)[0]
     assert a.probability == b.probability
     assert a.samples == b.samples
 
@@ -349,26 +349,26 @@ def test_estimate_validation():
     with pytest.raises(ValueError):
         HarmonicMeasureEstimate(0.5, -0.1, 10, 0)
     with pytest.raises(ValueError):
-        wos_harmonic_measure(DiskRegion(), lambda p: p.real > 0, samples=0)
+        wos_harmonic_measures(DiskRegion(), [lambda p: p.real > 0], samples=0)
     with pytest.raises(ValueError):
-        wos_harmonic_measure(DiskRegion(), lambda p: p.real > 0, eps_absorb=0.0)
+        wos_harmonic_measures(DiskRegion(), [lambda p: p.real > 0], eps_absorb=0.0)
 
 
 def test_step_cap_below_one_is_rejected():
     for cap in (0, -3):
         with pytest.raises(ValueError, match="step_cap"):
-            wos_harmonic_measure(DiskRegion(), lambda p: p.real > 0, samples=100, step_cap=cap)
+            wos_harmonic_measures(DiskRegion(), [lambda p: p.real > 0], samples=100, step_cap=cap)
 
 
 def test_every_walk_capped_names_the_count():
     # from the center of the unit disk no walk is absorbed in one step
     with pytest.raises(RuntimeError, match="all 100 walks hit step_cap=1"):
-        wos_harmonic_measure(DiskRegion(), lambda p: p.real > 0, samples=100, step_cap=1)
+        wos_harmonic_measures(DiskRegion(), [lambda p: p.real > 0], samples=100, step_cap=1)
     # a cap that lets some walks finish still gives an estimate over them;
     # from the center every walk lands on the circle at once, so start off it
-    est = wos_harmonic_measure(
-        DiskRegion(base_point=0.5), lambda p: p.real > 0, samples=100, step_cap=20
-    )
+    est = wos_harmonic_measures(
+        DiskRegion(base_point=0.5), [lambda p: p.real > 0], samples=100, step_cap=20
+    )[0]
     assert est.samples + est.n_step_capped == 100 and est.samples > 0 and est.n_step_capped > 0
 
 
@@ -521,10 +521,10 @@ def test_worker_thread_ends_on_every_exit():
         raise ValueError("predicate failed")
 
     with pytest.raises(ValueError, match="predicate failed"):
-        wos_harmonic_measure(DiskRegion(), failing, samples=1000, seed=2)
+        wos_harmonic_measures(DiskRegion(), [failing], samples=1000, seed=2)
     assert threading.active_count() == before
-    wos_harmonic_measure(DiskRegion(), lambda p: p.real > 0, samples=1000, seed=2)
+    wos_harmonic_measures(DiskRegion(), [lambda p: p.real > 0], samples=1000, seed=2)
     assert threading.active_count() == before
     with pytest.raises(RuntimeError, match="all 100 walks hit step_cap=1"):
-        wos_harmonic_measure(DiskRegion(), lambda p: p.real > 0, samples=100, step_cap=1)
+        wos_harmonic_measures(DiskRegion(), [lambda p: p.real > 0], samples=100, step_cap=1)
     assert threading.active_count() == before

@@ -153,11 +153,6 @@ def test_hs_partial_sum_half_map():
     assert np.array_equal(build_matrix(HALF, 2048), reference)
 
 
-def test_hs_trend_shapiro_taylor_dichotomy():
-    assert hs_norm_sq(ShapiroTaylor(3.0), 2048).trend == "converging"
-    assert hs_norm_sq(ShapiroTaylor(1.5), 2048).trend == "diverging"
-
-
 def test_hs_trend_rotation_diverges():
     assert hs_norm_sq(Rotation(0.3), 256).trend == "diverging"
     with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import compoplab as C
+from compoplab.experiments import blaschke_passage, contraction_floor
 from compoplab.spectra import linear_fit
 from compoplab.symbols import (
     BlaschkeSquare,
@@ -100,12 +101,10 @@ def test_blaschke_contraction_ratio_values():
 
 
 def test_contraction_floor_on_random_points(rng):
-    a = 0.5
-    floor = (1 - a * a) / 4.0
     pts = rng.uniform(-0.95, 0.95, 500) + 1j * rng.uniform(-0.95, 0.95, 500)
     pts = pts[np.abs(pts) < 0.99]
-    for z in pts[:200]:
-        assert blaschke_contraction_ratio(a, complex(z)) >= floor - 1e-12
+    ratio, floor, ok = contraction_floor(pts[:200])
+    assert ok, (ratio, floor)
 
 
 def test_roster_self_map_property(roster, rng):
@@ -136,16 +135,8 @@ def test_cusp_contact_stable_across_radii():
 
 def test_blaschke_level_set_passage():
     # |B(w)| > 1-h forces 1-|w| <= kappa_a h pointwise, hence on counts
-    a = 0.5
-    kappa = 4.0 / (1.0 - a * a)
-    t = 2.0 * np.pi * np.arange(1 << 16) / (1 << 16)
-    for inner in (Cusp(), Lens(0.5)):
-        sigma = inner.boundary(t)
-        psi = BlaschkeSquare(a).evaluate(sigma)
-        for h in (0.25, 0.1, 0.05):
-            lhs = np.mean(np.abs(psi) > 1.0 - h)
-            rhs = np.mean(1.0 - np.abs(sigma) <= kappa * h)
-            assert lhs <= rhs + 1e-15
+    rows, _, ok = blaschke_passage(1 << 16, (0.25, 0.1, 0.05))
+    assert ok, rows
 
 
 def test_eval_rejects_points_outside_disk():
