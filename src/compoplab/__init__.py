@@ -16,7 +16,6 @@ from .symbols import (
     ExplicitSeries,
     Identity,
     Lens,
-    PolydiskMap,
     Rotation,
     Scalar,
     ShapiroTaylor,

@@ -56,7 +56,6 @@ from .symbols import (
     BlaschkeSquare,
     Cusp,
     Lens,
-    PolydiskMap,
     ShapiroTaylor,
     blaschke_contraction_ratio,
 )
@@ -194,12 +193,13 @@ def _exp_cusp_diagonal(rec: _Recorder):
 # so each rule and threshold is written here once.
 
 
-def kernel_sweep(poly: PolydiskMap):
-    """Rows (j, r, kernel ratio) at the kernel points (r, 0, ..., 0), r = 1 - 2^-j, j <= 30."""
+def kernel_sweep(spec, dimension: int):
+    """Rows (j, r, kernel ratio) of the diagonal map of `spec` on D^dimension at
+    the kernel points (r, 0, ..., 0), r = 1 - 2^-j, j <= 30."""
     rows = []
     for j in range(1, 31):
         r = 1.0 - 2.0**-j
-        rows.append((j, r, kernel_ratio(poly, (r,) + (0.0,) * (poly.dimension - 1))))
+        rows.append((j, r, kernel_ratio(spec, dimension, r)))
     return rows
 
 
@@ -304,18 +304,18 @@ def tail_slope(ys, tails):
     return slope, count, bool(slope <= -0.9)
 
 
-def level_constant(region: GraphChannel, hs, levels, tol: float):
+def level_constant(region: GraphChannel, hs, levels):
     """(shape e^(alpha - g(2h)), level probabilities, fitted constant c_hat,
     the marker " (vacuous)" when no level target has a hit, else "", whether
     c_hat is finite and every probability is at most 1e-3 and at most
-    max(c_hat, 1) * shape + tol)."""
+    max(c_hat, 1) * shape + 1e-15)."""
     g2h = np.array([float(region.g(np.array([2.0 * h]))[0]) for h in hs])
     shape = np.exp(region.alpha - g2h)
     probs = np.array([e.probability for e in levels])
     with np.errstate(divide="ignore", invalid="ignore"):
         c_hat = float(np.max(np.where(shape > 0, probs / shape, 0.0)))
     note = "" if np.any(probs > 0) else " (vacuous)"
-    single = np.all(probs <= max(c_hat, 1.0) * shape + tol)
+    single = np.all(probs <= max(c_hat, 1.0) * shape + 1e-15)
     return shape, probs, c_hat, note, bool(single and np.all(probs <= 1e-3) and math.isfinite(c_hat))
 
 
@@ -436,8 +436,7 @@ def radius_stability(spec, samples: int):
 def _exp_lens_trichotomy(rec: _Recorder):
     dim = 2
     for theta in (0.25, 0.5, 1.0):
-        poly = PolydiskMap.diagonal(Lens(theta), dim)
-        rows = kernel_sweep(poly)
+        rows = kernel_sweep(Lens(theta), dim)
         rec.table(
             f"kernel_ratio_theta{theta:.4f}".replace(".", "p"),
             ["j", "r", "ratio"],
@@ -534,7 +533,7 @@ def _exp_spiral_harmonic(rec: _Recorder):
         "vanishing tail estimate" if math.isnan(slope) else f"slope={slope:.3f} on {positive} points",
     )
 
-    bound, level_p, c_hat, note, ok = level_constant(region, hs, level, 1e-12)
+    bound, level_p, c_hat, note, ok = level_constant(region, hs, level)
     rows = [
         (h, e.probability, e.ci_halfwidth, b, c_hat)
         for h, e, b in zip(hs, level, bound)
@@ -604,7 +603,7 @@ def _exp_polydisk_pairs(rec: _Recorder):
 
     # item 2: lens diagonal at the critical exponent vs the surjective route
     theta = 1.0 / dim
-    krows = kernel_sweep(PolydiskMap.diagonal(Lens(theta), dim))
+    krows = kernel_sweep(Lens(theta), dim)
     rec.table("critical_kernel", ["j", "r", "ratio"], krows)
     slope, _, band, ok = kernel_slope(krows, dim * theta)
     rec.check(

@@ -28,7 +28,7 @@ import numpy as np
 
 from .series import MAX_ORDER, _circle_nodes, default_radius, default_sample_count
 from .spectra import SingularSpectrum, classify_series_convergence
-from .symbols import PolydiskMap, SingularEvaluationError, Symbol
+from .symbols import SingularEvaluationError, Symbol
 
 __all__ = [
     "HsReport",
@@ -206,26 +206,20 @@ def hs_norm_sq(spec: Symbol, truncation: int) -> HsReport:
     return HsReport(partial=float(norms.sum()), trend=trend)
 
 
-def kernel_ratio(poly: PolydiskMap, point) -> float:
-    """||C_Phi* K_a|| / ||K_a|| for a polydisk reproducing kernel at the
-    point a = (a_1, ..., a_N), a sequence of coordinates.
+def kernel_ratio(spec: Symbol, dimension: int, r: float) -> float:
+    """||C_Phi* K_a|| / ||K_a|| for the diagonal map Phi(z) = (phi(z_1), ...,
+    phi(z_1)) of D^N, N = dimension, at the kernel point a = (r, 0, ..., 0).
 
-    C_Phi* K_a = K_{Phi(a)} and ||K_b||^2 = prod_j 1/(1-|b_j|^2), so the
-    ratio is sqrt(prod_j (1-|a_j|^2) / prod_j (1-|m_j(a_{src_j})|^2)).
+    C_Phi* K_a = K_{Phi(a)} and ||K_b||^2 = prod_j 1/(1-|b_j|^2); every
+    coordinate of Phi(a) is phi(r), so the ratio is
+    sqrt((1-r^2) / (1-|phi(r)|^2)^N).
     """
-    if len(point) != poly.dimension:
-        raise ValueError("kernel point dimension does not match the map")
-    if any(abs(v) >= 1.0 - 1e-12 for v in point):
+    if abs(r) >= 1.0 - 1e-12:
         raise ValueError("kernel point too close to the boundary for float safety")
-    log_num = sum(math.log1p(-abs(v) ** 2) for v in point)
-    log_den = 0.0
-    for src, spec in poly.coords:
-        w = spec.evaluate(point[src - 1])
-        gap = 1.0 - abs(w) ** 2
-        if gap <= 0.0:
-            raise SingularEvaluationError("image point reached the boundary")
-        log_den += math.log(gap)
-    return math.exp(0.5 * (log_num - log_den))
+    gap = 1.0 - abs(spec.evaluate(r)) ** 2
+    if gap <= 0.0:
+        raise SingularEvaluationError("image point reached the boundary")
+    return math.exp(0.5 * (math.log1p(-abs(r) ** 2) - dimension * math.log(gap)))
 
 
 def _log_cosh(z: np.ndarray) -> np.ndarray:

@@ -310,16 +310,10 @@ def delta_from_epsilon(eps: Callable, n_max: int) -> Callable:
     return delta
 
 
-def _profile_arrays(profile):
-    h = np.asarray(profile.h_grid, dtype=float)
-    rho = np.asarray(profile.rho_hat, dtype=float)
-    return h, rho
-
-
 def upper_bound_plain(profile, n: int) -> float:
     """min over the h grid of e^{-nh} + sqrt(rho(h)/h), up to an absolute
     constant."""
-    h, rho = _profile_arrays(profile)
+    h, rho = profile.h_grid, profile.rho_hat
     if h.size == 0:
         raise ValueError("empty profile grid")
     return float(np.min(np.exp(-float(n) * h) + np.sqrt(rho / h)))
@@ -331,7 +325,7 @@ def upper_bound_weighted(profile, n: int, gamma: float) -> float:
     The inner sup is the running maximum over the grid, so the grid must
     resolve every t <= h of interest.
     """
-    h, rho = _profile_arrays(profile)
+    h, rho = profile.h_grid, profile.rho_hat
     if h.size == 0:
         raise ValueError("empty profile grid")
     order = np.argsort(h)
@@ -396,10 +390,6 @@ def linear_fit(x, y) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
-def _stretched_r2(n: np.ndarray, logs: np.ndarray, alpha: float):
-    return linear_fit(n**alpha, logs)
-
-
 def decay_fit(spectrum, model: str, fit_range: tuple) -> DecayFit:
     """Fit a decay law to s_lo..s_hi (1-based, inclusive).
 
@@ -429,7 +419,7 @@ def decay_fit(spectrum, model: str, fit_range: tuple) -> DecayFit:
 
     # coarse alpha scan, then golden-section refinement of R^2(alpha)
     alphas = np.arange(0.05, 0.951, 0.05)
-    scores = [_stretched_r2(n, logs, a)[2] for a in alphas]
+    scores = [linear_fit(n**a, logs)[2] for a in alphas]
     best = int(np.argmax(scores))
     lo_a = alphas[max(best - 1, 0)]
     hi_a = alphas[min(best + 1, alphas.size - 1)]
@@ -437,19 +427,19 @@ def decay_fit(spectrum, model: str, fit_range: tuple) -> DecayFit:
     a, b = lo_a, hi_a
     x1 = b - phi * (b - a)
     x2 = a + phi * (b - a)
-    f1 = _stretched_r2(n, logs, x1)[2]
-    f2 = _stretched_r2(n, logs, x2)[2]
+    f1 = linear_fit(n**x1, logs)[2]
+    f2 = linear_fit(n**x2, logs)[2]
     for _ in range(60):
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + phi * (b - a)
-            f2 = _stretched_r2(n, logs, x2)[2]
+            f2 = linear_fit(n**x2, logs)[2]
         else:
             b, x2, f2 = x2, x1, f1
             x1 = b - phi * (b - a)
-            f1 = _stretched_r2(n, logs, x1)[2]
+            f1 = linear_fit(n**x1, logs)[2]
     alpha = 0.5 * (a + b)
-    slope, intercept, r2 = _stretched_r2(n, logs, alpha)
+    slope, intercept, r2 = linear_fit(n**alpha, logs)
     return DecayFit(
         {"log_amplitude": intercept, "rate": -slope, "exponent": float(alpha)},
         r2,

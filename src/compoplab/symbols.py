@@ -1,4 +1,4 @@
-"""Analytic self-maps of the unit disk and coordinate-wise polydisk maps.
+"""Analytic self-maps of the unit disk.
 
 Every symbol evaluates vectorized on complex arrays, maps the open disk
 into the closed disk, and reports singular evaluations instead of
@@ -32,7 +32,6 @@ __all__ = [
     "ShapiroTaylor",
     "Compose",
     "ExplicitSeries",
-    "PolydiskMap",
     "blaschke_contraction_ratio",
     "shipped_symbols",
 ]
@@ -283,37 +282,6 @@ class ExplicitSeries(Symbol):
 
     def _raw(self, z):
         return self.series(z)
-
-
-@dataclass(frozen=True)
-class PolydiskMap:
-    """Coordinate-wise self-map of D^N: output j is map_j(z_{source_j}).
-
-    Sources are 1-based coordinate indices; the diagonal map repeats the
-    first coordinate through a single 1-d symbol.
-    """
-
-    dimension: int
-    coords: tuple
-
-    def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
-        coords = tuple((int(src), spec) for src, spec in self.coords)
-        if len(coords) != self.dimension:
-            raise ValueError(
-                f"need exactly {self.dimension} coordinate maps, got {len(coords)}"
-            )
-        for src, spec in coords:
-            if not 1 <= src <= self.dimension:
-                raise ValueError(f"source index {src} out of range 1..{self.dimension}")
-            if not isinstance(spec, Symbol):
-                raise TypeError("coordinate maps must be Symbol instances")
-        object.__setattr__(self, "coords", coords)
-
-    @classmethod
-    def diagonal(cls, spec: Symbol, dimension: int) -> "PolydiskMap":
-        return cls(dimension, tuple((1, spec) for _ in range(dimension)))
 
 
 def blaschke_contraction_ratio(a: float, z: complex) -> float:

@@ -11,7 +11,6 @@ import itertools
 import numpy as np
 
 from compoplab.operators import build_matrix
-from compoplab.symbols import PolydiskMap
 
 ORACLE_SIZE_CAP = 3000
 
@@ -35,27 +34,29 @@ def multi_indices(dimension: int, degree_cap: int):
     return out
 
 
-def multi_index_oracle(poly: PolydiskMap, degree_cap: int) -> np.ndarray:
-    """Brute-force section of C_Phi on the monomial basis {z^alpha : |alpha| <= D}.
+def multi_index_oracle(coords, degree_cap: int) -> np.ndarray:
+    """Brute-force section of C_Phi on the monomial basis {z^alpha : |alpha| <= D}
+    for the coordinate map Phi of D^N, N = len(coords), whose output j is
+    map_j(z_{source_j}), coords[j] = (source_j, map_j) with 1-based sources.
 
     Entry (beta, alpha) is the coefficient of z^beta in
     prod_j map_j(z_{source_j})^{alpha_j}.  The 1-d power columns come from
     `build_matrix(spec, D + 1)`, whose N = 1 weights are exactly 1.0.
     """
-    n = poly.dimension
+    n = len(coords)
     basis = multi_indices(n, degree_cap)
     side = len(basis)
     if side > ORACLE_SIZE_CAP:
         raise SizeGuardError(f"oracle basis has {side} monomials; cap is {ORACLE_SIZE_CAP}")
     # 1-d coefficient table: powers[j][k] = coefficients of map_j^k, degree <= D
-    powers = [build_matrix(spec, degree_cap + 1).T for _, spec in poly.coords]
+    powers = [build_matrix(spec, degree_cap + 1).T for _, spec in coords]
 
     beta_mat = np.asarray(basis, dtype=int)  # (side, n)
     entries = np.empty((side, side), dtype=complex)
     for col, alpha in enumerate(basis):
         # group output coordinates by their source variable
         per_source = {}
-        for j, (src, _) in enumerate(poly.coords):
+        for j, (src, _) in enumerate(coords):
             coeffs = powers[j][alpha[j]]
             if src in per_source:
                 per_source[src] = np.convolve(per_source[src], coeffs)[: degree_cap + 1]

@@ -20,8 +20,8 @@ symbols.  Monomial sections are lower bounds that have not converged in
 the stated ranges and fall under the float64 floor inside them, so these
 two criteria read their spectrum from the reproducing-kernel lower bound
 `kernel_lower_bound` on a lattice of strip nodes instead.  Both check
-the same kernel clauses in `_kernel_law`: the fit covers the full
-requested range, the bound's float floor lies below every fitted value,
+the same kernel clauses in `_kernel_law`: the bound keeps a value at every
+index of the fitted range, its float floor lies below every fitted value,
 and a nested refinement of the lattice moves the fitted values by less
 than 1%.  Each keeps its own law clauses.
 """
@@ -65,7 +65,6 @@ from compoplab.symbols import (
     Cusp,
     ExplicitSeries,
     Lens,
-    PolydiskMap,
     ShapiroTaylor,
     shipped_symbols,
 )
@@ -100,19 +99,23 @@ def _hits(estimates):
 def _kernel_law(symbol, nodes, extra, model, hi):
     """The kernel lower bound of `symbol` on `nodes`, its `model` fit on [20, hi],
     the seconds both took, a detail line, and the clauses criteria 1 and 11
-    share: the fit covers [20, hi], the float floor lies below s_hi, and the
-    nested refinement by `extra` nodes moves s_20..s_hi by less than 1%."""
+    share: the bound keeps at least hi values, the float floor lies below
+    s_hi, and the nested refinement by `extra` nodes moves s_20..s_hi by less
+    than 1%.  A bound shorter than hi fails at once, with no fit (None)."""
     start = time.perf_counter()
     spectrum = kernel_lower_bound(symbol, nodes)
+    detail = f"kernel lower bound keeps {len(spectrum)} values (need >= {hi})"
+    if len(spectrum) < hi:
+        return spectrum, None, time.perf_counter() - start, detail, False
     fit = decay_fit(spectrum, model, (20, hi))
     elapsed = time.perf_counter() - start
     fine = kernel_lower_bound(symbol, np.append(nodes, extra))
     delta = math.inf
     if len(fine) >= hi:
         delta = float(np.max(np.abs(fine.values[19:hi] / spectrum.values[19:hi] - 1.0)))
-    ok = fit.fit_range == (20, hi) and spectrum.floor < spectrum.a(hi) and delta < 0.01
-    detail = (
-        f"kernel lower bound on {spectrum.truncation} nodes, float floor {spectrum.floor:.1e} "
+    ok = spectrum.floor < spectrum.a(hi) and delta < 0.01
+    detail += (
+        f" on {spectrum.truncation} nodes, float floor {spectrum.floor:.1e} "
         f"vs s_{hi}={spectrum.a(hi):.3e}, +{extra.size} nodes at Im=+-{extra.imag.max():g} "
         f"move s_n on [20,{hi}] by {delta:.1e} relative (need < 1e-2)"
     )
@@ -127,13 +130,14 @@ def test_criterion_01_lens_decay_law():
         ]
     )
     extra = strip_lattice(-200.0, 200.0, 1.8, (1.35, -1.35))
-    _, fit, elapsed, kernel, ok = _kernel_law(Lens(0.5), nodes, extra, "stretched_exp", 300)
-    alpha = fit.params["exponent"]
-    ok = ok and 0.45 <= alpha <= 0.55 and fit.r_squared >= 0.98 and elapsed <= 120.0
-    detail = (
-        f"alpha={alpha:.4f} (window [0.45,0.55]), R2={fit.r_squared:.4f} (need >= 0.98), "
-        f"{elapsed:.0f}s (budget 120s); {kernel}"
-    )
+    _, fit, elapsed, detail, ok = _kernel_law(Lens(0.5), nodes, extra, "stretched_exp", 300)
+    if fit is not None:
+        alpha = fit.params["exponent"]
+        ok = ok and 0.45 <= alpha <= 0.55 and fit.r_squared >= 0.98 and elapsed <= 120.0
+        detail = (
+            f"alpha={alpha:.4f} (window [0.45,0.55]), R2={fit.r_squared:.4f} (need >= 0.98), "
+            f"{elapsed:.0f}s (budget 120s); {detail}"
+        )
     assert _report(1, "lens decay law, kernel lower bound, fit on [20,300]", ok, detail), detail
 
 
@@ -156,7 +160,7 @@ def test_criterion_03_lens_trichotomy():
     details = []
     for dim in (2, 3):
         for theta, label in ((2.0 / dim, "2/N"), (1.0 / dim, "1/N")):
-            rows = kernel_sweep(PolydiskMap.diagonal(Lens(theta), dim))
+            rows = kernel_sweep(Lens(theta), dim)
             slope, target, band, good = kernel_slope(rows, dim * theta)
             band_detail = f" min/med={band:.2f}" if target == 0.0 else ""
             details.append(f"N={dim} theta={label} slope={slope:.3f}{band_detail}")
@@ -197,7 +201,7 @@ def test_criterion_06_diagonal_polydisk_exactness():
     worst = 0.0
     for spec in (half, Lens(0.25)):
         for dim in (2, 3):
-            oracle = singular_values(multi_index_oracle(PolydiskMap.diagonal(spec, dim), 8))
+            oracle = singular_values(multi_index_oracle(((1, spec),) * dim, 8))
             direct = singular_values(build_matrix(spec, 9, dim))
             worst = max(worst, float(np.max(np.abs(oracle.values[:9] - direct.values))))
             worst = max(worst, float(np.max(oracle.values[9:], initial=0.0)))
@@ -221,7 +225,7 @@ def test_criterion_07_spiral_harmonic_tail(ensemble):
 
 def test_criterion_08_level_set_bound(ensemble):
     region, _, hs, _, levels, _ = ensemble
-    _, probs, c_hat, note, ok = level_constant(region, hs, levels, 1e-15)
+    _, probs, c_hat, note, ok = level_constant(region, hs, levels)
     detail = (
         f"C_hat={c_hat:.3g}, probabilities {probs.tolist()}, hits {_hits(levels)}{note} "
         "(theory scale e^(5pi-g(2h)))"
@@ -250,10 +254,14 @@ def test_criterion_11_shapiro_taylor():
         spectrum, fit, _, kernel, kernel_ok = _kernel_law(
             ShapiroTaylor(theta), nodes, extra, "poly", 200
         )
+        ok = ok and kernel_ok
+        if fit is None:
+            details.append(f"theta={theta:g}: {kernel}")
+            continue
         scaled = np.arange(20, 201, dtype=float) ** (theta / 2.0) * spectrum.values[19:200]
         power_ok = fit.params["power"] <= theta / 2.0 + 0.3
         scaled_ok = float(scaled.min()) >= 0.25 * float(scaled[0])
-        ok = ok and kernel_ok and power_ok and scaled_ok
+        ok = ok and power_ok and scaled_ok
         details.append(
             f"theta={theta:g}: p={fit.params['power']:.2f} "
             f"(need <= {theta / 2 + 0.3:.2f}), min scaled/first="

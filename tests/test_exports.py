@@ -76,12 +76,9 @@ def test_every_package_export_has_a_caller():
     assert not uncalled, f"exported but never called in src/, acceptance or perfbench/: {uncalled}"
 
 
-# Fields whose name another dataclass shares, and methods or properties whose
-# name another class shares, that are read only through an object whose class
-# the AST cannot see (the region or symbol protocols): the function that reads each.
-SHARED_FIELD_READS = {
-    ("DiskRegion", "base_point"): "wos_harmonic_measures",
-}
+# Methods or properties whose name another class shares that are read only
+# through an object whose class the AST cannot see (the region or symbol
+# protocols): the function that reads each.
 SHARED_MEMBER_READS = {
     **{
         (cls, name): "wos_harmonic_measures"
@@ -204,7 +201,7 @@ def test_every_dataclass_field_is_read():
     unread = _unread(
         set().union(*(_dataclass_fields(ast.parse(p.read_text())) for p in PACKAGE.glob("*.py"))),
         [ast.parse(p.read_text()) for p in _caller_sources()],
-        SHARED_FIELD_READS,
+        {},
     )
     assert not unread, f"dataclass fields never read in src/, acceptance or perfbench/: {unread}"
 
@@ -264,16 +261,14 @@ def _unset_defaulted_fields(field_trees, caller_trees) -> list:
 
 
 def test_every_defaulted_field_is_set_by_some_caller():
-    sources = [
-        *PACKAGE.glob("*.py"),
-        *(ROOT / "tests").glob("*.py"),
-        *(ROOT / "perfbench").rglob("*.py"),
-    ]
     unset = _unset_defaulted_fields(
         [ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")],
-        [ast.parse(p.read_text()) for p in sources],
+        [ast.parse(p.read_text()) for p in _caller_sources()],
     )
-    assert not unset, f"defaulted dataclass fields no caller sets (make them constants): {unset}"
+    assert not unset, (
+        f"defaulted dataclass fields no caller in src/, acceptance or perfbench/ sets "
+        f"(make them constants): {unset}"
+    )
 
 
 def test_a_defaulted_field_counts_as_set_by_position_or_keyword():

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from compoplab import harmonic
 from compoplab.experiments import harness_pair, spiral_ensemble, tail_slope
 from compoplab.harmonic import (
     _DISTANCE_BLOCK,
-    _default_slope_bound,
     _iteration_rng,
     FOUR_PI,
     TWO_PI,
@@ -28,9 +28,68 @@ def channel():
     return GraphChannel()
 
 
+def _variant(cls, **attributes):
+    """An instance of a subclass of `cls` that sets `attributes` (class
+    attributes, or methods given as functions of self)."""
+    return type(cls.__name__, (cls,), attributes)()
+
+
+def _contains(channel, p) -> np.ndarray:
+    """Whether each point lies in the channel: x > 0, g(x) < y < g(x) + 4pi."""
+    p = np.asarray(p, dtype=complex)
+    x, y = p.real, p.imag
+    g = np.where(x > 0, channel.g(np.where(x > 0, x, 1.0)), np.inf)
+    return (x > 0) & (y > g) & (y < g + FOUR_PI)
+
+
+def _wall_contract_breaches(channel) -> list:
+    """The clauses of the wall contract the distance certificate rests on
+    that `channel` breaks, on 64 log-spaced points of [1e-4, 1e6]: g strictly
+    decreasing, g(pi) = pi, g blowing up at 0+ and vanishing at infinity,
+    g_slope_bound at least every secant slope of g, and the base point
+    inside the channel."""
+    grid = np.geomspace(1e-4, 1e6, 64)
+    vals = np.asarray(channel.g(grid), dtype=float)
+    secant = np.abs(np.diff(vals)) / np.diff(grid)
+    clauses = {
+        "decreasing": np.all(np.diff(vals) < 0),
+        "g(pi) = pi": abs(float(channel.g(np.array([PI]))[0]) - PI) <= 1e-9,
+        "blow-up and decay": vals[0] >= 100.0 and vals[-1] <= 0.1,
+        "slope bound": np.all(np.asarray(channel.g_slope_bound(grid[:-1], grid[1:])) >= secant),
+        "base point inside": _contains(channel, [channel.base_point])[0],
+    }
+    return [name for name, ok in clauses.items() if not ok]
+
+
+# a valid but doubled slope bound
+DOUBLED_BOUND = _variant(
+    GraphChannel, g_slope_bound=lambda self, lo, hi: 2 * GraphChannel.g_slope_bound(self, lo, hi)
+)
+
+
+def test_default_channel_meets_the_wall_contract(channel):
+    assert _wall_contract_breaches(channel) == []
+
+
+def test_channel_validation():
+    # the contract check can fail: an increasing wall, and a base point on it
+    increasing = _variant(GraphChannel, g=lambda self, t: t, g_slope_bound=lambda self, lo, hi: 1.0)
+    assert "decreasing" in _wall_contract_breaches(increasing)
+    on_wall = _variant(GraphChannel, base_point=complex(PI, PI))
+    assert _wall_contract_breaches(on_wall) == ["base point inside"]
+
+
+def test_channel_rejects_slope_bound_below_secant():
+    # pi^2/hi^2 is |g'| at the flat end of each interval, below the
+    # secant slope pi^2/(lo*hi); twice the exact bound meets the contract
+    low = _variant(GraphChannel, g_slope_bound=lambda self, lo, hi: PI**2 / hi**2)
+    assert _wall_contract_breaches(low) == ["slope bound"]
+    assert _wall_contract_breaches(DOUBLED_BOUND) == []
+
+
 def _distance(channel, p):
     arr = np.array([p], dtype=complex)
-    assert bool(channel.contains(arr)[0])
+    assert bool(_contains(channel, arr)[0])
     return float(channel.distance_vector(arr)[0])
 
 
@@ -72,23 +131,26 @@ def _wall_distance(channel, p):
     return best
 
 
-def _steeper_g(t):
-    return PI**3 / t**2
-
-
 @pytest.mark.parametrize(
     "region, tightness",
     [
         (GraphChannel(), 0.9),
         # a more curved wall, so the secant meets a more curved h
-        (GraphChannel(g=_steeper_g, g_slope_bound=lambda lo, hi: 2 * PI**3 / lo**3), 0.9),
-        # a valid but doubled slope bound: near a steep wall the certificate
-        # then reaches only about half the distance
-        (GraphChannel(g_slope_bound=lambda lo, hi: 2 * _default_slope_bound(lo, hi)), 0.45),
+        (
+            _variant(
+                GraphChannel,
+                g=lambda self, t: PI**3 / t**2,
+                g_slope_bound=lambda self, lo, hi: 2 * PI**3 / lo**3,
+            ),
+            0.9,
+        ),
+        # near a steep wall the doubled bound certifies only about half the distance
+        (DOUBLED_BOUND, 0.45),
     ],
     ids=["default", "steeper-wall", "doubled-slope-bound"],
 )
 def test_distance_is_certified_lower_bound(region, tightness, rng):
+    assert _wall_contract_breaches(region) == []
     # interior points, and points 1e-5 to 1e-2 above the lower wall or
     # below the upper one, where the bound is within O(gap) of the distance
     x = np.exp(rng.uniform(math.log(0.05), math.log(50.0), 400))
@@ -98,7 +160,7 @@ def test_distance_is_certified_lower_bound(region, tightness, rng):
     upper = rng.uniform(size=x_wall.size) < 0.5
     y_wall = region.g(x_wall) + np.where(upper, 4 * PI - gap, gap)
     p = np.concatenate([x + 1j * y, x_wall + 1j * y_wall])
-    assert np.all(region.contains(p))
+    assert np.all(_contains(region, p))
     d = region.distance_vector(p)
     true = np.array([_wall_distance(region, q) for q in p])
     assert np.all(d > 0.0)
@@ -140,26 +202,24 @@ def test_distance_is_tight_where_walks_step(channel):
     assert np.median(ratio) >= 0.9, np.median(ratio)
 
 
-class _CountingSlopeBound:
-    """The default slope bound, counting its calls."""
+class _CountingChannel(GraphChannel):
+    """The default channel, counting its slope-bound calls."""
 
-    def __init__(self):
-        self.calls = 0
+    calls = 0
 
-    def __call__(self, lo, hi):
+    def g_slope_bound(self, lo, hi):
         self.calls += 1
-        return _default_slope_bound(lo, hi)
+        return super().g_slope_bound(lo, hi)
 
 
 @pytest.fixture(scope="module")
 def spiral_walks():
     """(walk positions, g_slope_bound calls) of the spiral ensemble at
     2x10^4 walks, seed 2028, on the default channel."""
-    bound = _CountingSlopeBound()
-    region = _RecordingRegion(GraphChannel(g_slope_bound=bound))
-    bound.calls = 0  # the channel's validation called it once
+    channel = _CountingChannel()
+    region = _RecordingRegion(channel)
     spiral_ensemble(region, 2 * 10**4, seed=2028)
-    return region.points, bound.calls
+    return region.points, channel.calls
 
 
 def test_spiral_ensemble_step_budget(spiral_walks):
@@ -210,22 +270,7 @@ def test_distance_reaches_the_largest_certified_radius(channel, spiral_walks):
 
 def test_distance_rejects_outside_points(channel):
     # left of the channel, and below its lower wall
-    assert not np.any(channel.contains(np.array([complex(-1.0, 10.0), complex(10.0, 0.0)])))
-
-
-def test_channel_validation():
-    with pytest.raises(ValueError):
-        GraphChannel(g=lambda t: t, g_slope_bound=lambda lo, hi: 1.0)
-    with pytest.raises(ValueError):
-        GraphChannel(base_point=complex(PI, 0.0))
-
-
-def test_channel_rejects_slope_bound_below_secant():
-    # pi^2/hi^2 is |g'| at the flat end of each interval, below the
-    # secant slope pi^2/(lo*hi); twice the exact bound is accepted
-    with pytest.raises(ValueError, match="g_slope_bound"):
-        GraphChannel(g_slope_bound=lambda lo, hi: PI**2 / hi**2)
-    GraphChannel(g_slope_bound=lambda lo, hi: 2 * PI**2 / lo**2)
+    assert not np.any(_contains(channel, [complex(-1.0, 10.0), complex(10.0, 0.0)]))
 
 
 @pytest.fixture(scope="module")
@@ -267,12 +312,11 @@ def test_multi_target_matches_single_target(channel):
     assert multi[1].probability <= multi[0].probability
 
 
-def test_absorption_tolerance_sensitivity(channel):
+def test_absorption_tolerance_sensitivity(channel, monkeypatch):
     y = channel.alpha + 1.0
     a = wos_harmonic_measures(channel, [lambda p: p.imag > y], samples=3 * 10**4, seed=21)[0]
-    b = wos_harmonic_measures(
-        channel, [lambda p: p.imag > y], samples=3 * 10**4, seed=21, eps_absorb=5e-7
-    )[0]
+    monkeypatch.setattr(harmonic, "_EPS_ABSORB", 5e-7)
+    b = wos_harmonic_measures(channel, [lambda p: p.imag > y], samples=3 * 10**4, seed=21)[0]
     assert abs(a.probability - b.probability) <= 2.0 * (a.ci_halfwidth + b.ci_halfwidth)
 
 
@@ -350,24 +394,18 @@ def test_estimate_validation():
         HarmonicMeasureEstimate(0.5, -0.1, 10, 0)
     with pytest.raises(ValueError):
         wos_harmonic_measures(DiskRegion(), [lambda p: p.real > 0], samples=0)
-    with pytest.raises(ValueError):
-        wos_harmonic_measures(DiskRegion(), [lambda p: p.real > 0], eps_absorb=0.0)
 
 
-def test_step_cap_below_one_is_rejected():
-    for cap in (0, -3):
-        with pytest.raises(ValueError, match="step_cap"):
-            wos_harmonic_measures(DiskRegion(), [lambda p: p.real > 0], samples=100, step_cap=cap)
-
-
-def test_every_walk_capped_names_the_count():
+def test_every_walk_capped_names_the_count(monkeypatch):
     # from the center of the unit disk no walk is absorbed in one step
-    with pytest.raises(RuntimeError, match="all 100 walks hit step_cap=1"):
-        wos_harmonic_measures(DiskRegion(), [lambda p: p.real > 0], samples=100, step_cap=1)
+    monkeypatch.setattr(harmonic, "_STEP_CAP", 1)
+    with pytest.raises(RuntimeError, match="all 100 walks hit the step cap of 1 "):
+        wos_harmonic_measures(DiskRegion(), [lambda p: p.real > 0], samples=100)
     # a cap that lets some walks finish still gives an estimate over them;
     # from the center every walk lands on the circle at once, so start off it
+    monkeypatch.setattr(harmonic, "_STEP_CAP", 20)
     est = wos_harmonic_measures(
-        DiskRegion(base_point=0.5), [lambda p: p.real > 0], samples=100, step_cap=20
+        _variant(DiskRegion, base_point=0.5), [lambda p: p.real > 0], samples=100
     )[0]
     assert est.samples + est.n_step_capped == 100 and est.samples > 0 and est.n_step_capped > 0
 
@@ -388,7 +426,7 @@ def _unblocked_channel_distance(channel, p):
     return np.maximum(lo, np.minimum(t, h(t)))
 
 
-def _reference_walks(region, targets, samples, seed, step_cap, eps_absorb=1e-6):
+def _reference_walks(region, targets, samples, seed, step_cap):
     """The engine before its angle draws moved to a worker thread: Philox
     angles drawn for the survivors only, a complex-exp step, and the
     unblocked channel distance.  Returns (scores, n_far, n_capped)."""
@@ -418,7 +456,7 @@ def _reference_walks(region, targets, samples, seed, step_cap, eps_absorb=1e-6):
             if p.size == 0:
                 break
         d = distance(p)
-        absorb = d < eps_absorb
+        absorb = d < 1e-6
         if np.any(absorb):
             hit = p[absorb]
             for i, pred in enumerate(targets):
@@ -459,22 +497,25 @@ _CHANNEL_WALKS = 3 * _DISTANCE_BLOCK + 5
         (GraphChannel(), [_tail], _CHANNEL_WALKS, 10**6),
         # off-center, so walks take many steps before absorption
         (
-            DiskRegion(base_point=0.3 + 0.1j),
+            _variant(DiskRegion, base_point=0.3 + 0.1j),
             [lambda p: p.real > 0, lambda p: p.imag > 0.5],
             10**4,
             10**6,
         ),
-        (HalfPlaneRegion(cutoff=3.0), [lambda p: np.abs(p.real) < 1.0], 10**4, 10**6),
+        (_variant(HalfPlaneRegion, cutoff=3.0), [lambda p: np.abs(p.real) < 1.0], 10**4, 10**6),
     ],
     ids=["channel-capped", "channel", "disk", "half-plane-far-field"],
 )
-def test_walks_bit_identical_to_reference_engine(region, predicates, samples, step_cap):
+def test_walks_bit_identical_to_reference_engine(
+    region, predicates, samples, step_cap, monkeypatch
+):
     ref_log, log = [], []
     ref_scores, ref_far, ref_capped = _reference_walks(
         region, _recording_targets(ref_log, predicates), samples, seed=41, step_cap=step_cap
     )
+    monkeypatch.setattr(harmonic, "_STEP_CAP", step_cap)
     estimates = wos_harmonic_measures(
-        region, _recording_targets(log, predicates), samples=samples, seed=41, step_cap=step_cap
+        region, _recording_targets(log, predicates), samples=samples, seed=41
     )
     assert len(log) == len(ref_log) > 0
     for got, want in zip(log, ref_log):
@@ -514,7 +555,7 @@ def test_blocked_channel_distance_is_the_unblocked_formula(channel, rng, size):
     assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
 
 
-def test_worker_thread_ends_on_every_exit():
+def test_worker_thread_ends_on_every_exit(monkeypatch):
     before = threading.active_count()
 
     def failing(pts):
@@ -525,6 +566,7 @@ def test_worker_thread_ends_on_every_exit():
     assert threading.active_count() == before
     wos_harmonic_measures(DiskRegion(), [lambda p: p.real > 0], samples=1000, seed=2)
     assert threading.active_count() == before
-    with pytest.raises(RuntimeError, match="all 100 walks hit step_cap=1"):
-        wos_harmonic_measures(DiskRegion(), [lambda p: p.real > 0], samples=100, step_cap=1)
+    monkeypatch.setattr(harmonic, "_STEP_CAP", 1)
+    with pytest.raises(RuntimeError, match="all 100 walks hit the step cap of 1 "):
+        wos_harmonic_measures(DiskRegion(), [lambda p: p.real > 0], samples=100)
     assert threading.active_count() == before

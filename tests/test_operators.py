@@ -24,7 +24,6 @@ from compoplab.symbols import (
     ExplicitSeries,
     Identity,
     Lens,
-    PolydiskMap,
     Rotation,
     ShapiroTaylor,
     SingularEvaluationError,
@@ -97,14 +96,12 @@ def test_diagonal_polydisk_half_map_closed_form():
 
 
 def test_multi_index_oracle_identity_map():
-    poly = PolydiskMap(2, ((1, Identity()), (2, Identity())))
-    m = multi_index_oracle(poly, 3)
+    m = multi_index_oracle(((1, Identity()), (2, Identity())), 3)
     assert np.max(np.abs(m - np.eye(m.shape[0]))) < 1e-10
 
 
 def test_oracle_matches_diagonal_reduction_half_map():
-    poly = PolydiskMap.diagonal(HALF, 2)
-    oracle = singular_values(multi_index_oracle(poly, 6))
+    oracle = singular_values(multi_index_oracle(((1, HALF),) * 2, 6))
     direct = singular_values(build_matrix(HALF, 7, 2))
     assert np.max(np.abs(oracle.values[:7] - direct.values)) < 1e-10
     assert np.max(oracle.values[7:]) < 1e-10
@@ -113,8 +110,7 @@ def test_oracle_matches_diagonal_reduction_half_map():
 @pytest.mark.parametrize("spec", [HALF, Lens(0.25), Compose(C.BlaschkeSquare(0.5), HALF)])
 @pytest.mark.parametrize("dim", [2, 3])
 def test_oracle_equivalence_across_symbols(spec, dim):
-    poly = PolydiskMap.diagonal(spec, dim)
-    oracle = singular_values(multi_index_oracle(poly, 6))
+    oracle = singular_values(multi_index_oracle(((1, spec),) * dim, 6))
     direct = singular_values(build_matrix(spec, 7, dim))
     assert np.max(np.abs(oracle.values[:7] - direct.values)) < 1e-8
     assert np.max(oracle.values[7:]) < 1e-8
@@ -126,8 +122,7 @@ def test_oracle_cross_validates_tensor_merge():
     # dominated by the merge of box-truncated factors, and the leading
     # values agree.
     lens = Lens(0.2)
-    poly = PolydiskMap(3, ((1, lens), (1, lens), (3, HALF)))
-    oracle = singular_values(multi_index_oracle(poly, 6))
+    oracle = singular_values(multi_index_oracle(((1, lens), (1, lens), (3, HALF)), 6))
     factor_a = singular_values(build_matrix(lens, 7, 2))
     factor_b = singular_values(build_matrix(HALF, 7))
     merged = tensor_merge([factor_a, factor_b], len(oracle))
@@ -137,9 +132,8 @@ def test_oracle_cross_validates_tensor_merge():
 
 
 def test_oracle_size_guard():
-    poly = PolydiskMap.diagonal(Identity(), 3)
     with pytest.raises(SizeGuardError):
-        multi_index_oracle(poly, 26)
+        multi_index_oracle(((1, Identity()),) * 3, 26)
 
 
 def test_hs_partial_sum_half_map():
@@ -186,7 +180,7 @@ def test_blocked_columns_match_the_per_column_loop(spec, truncation):
         norms = np.array([np.sum(np.abs(col) ** 2) for col in cols])
         assert hs_norm_sq(spec, truncation).partial == float(norms.sum())
     if truncation <= 512:
-        oracle = multi_index_oracle(PolydiskMap(1, ((1, spec),)), truncation - 1)
+        oracle = multi_index_oracle(((1, spec),), truncation - 1)
         assert np.array_equal(oracle, np.stack(cols, axis=1))
 
 
@@ -283,21 +277,19 @@ def test_a_rejection_waits_for_the_other_ranges(monkeypatch):
 
 
 def test_kernel_ratio_at_origin():
-    poly = PolydiskMap.diagonal(Lens(0.5), 3)
-    assert kernel_ratio(poly, (0.0, 0.0, 0.0)) == pytest.approx(1.0)
+    assert kernel_ratio(Lens(0.5), 3, 0.0) == pytest.approx(1.0)
 
 
 def test_kernel_ratio_identity_map_closed_form():
-    poly = PolydiskMap(2, ((1, Identity()), (2, Identity())))
+    # Phi(z) = (z_1, z_1): sqrt((1 - r^2) / (1 - r^2)^2) = (1 - r^2)^(-1/2)
     r = 0.9
-    assert kernel_ratio(poly, (r, 0.0)) == pytest.approx(1.0, abs=1e-12)
+    assert kernel_ratio(Identity(), 2, r) == pytest.approx((1 - r * r) ** -0.5, rel=1e-12)
 
 
 def test_kernel_ratio_rejects_near_boundary():
-    poly = PolydiskMap.diagonal(Identity(), 2)
-    for point in ((1 - 1e-13, 0.0), (1.0, 0.0)):
+    for r in (1 - 1e-13, 1.0):
         with pytest.raises(ValueError):
-            kernel_ratio(poly, point)
+            kernel_ratio(Identity(), 2, r)
 
 
 DILATION = ExplicitSeries(PowerSeries([0, 0.8]))

@@ -14,7 +14,6 @@ from compoplab.symbols import (
     Cusp,
     Identity,
     Lens,
-    PolydiskMap,
     Scalar,
     ShapiroTaylor,
     blaschke_contraction_ratio,
@@ -161,10 +160,6 @@ def test_parameter_validation():
         ShapiroTaylor(3.0, eps=0.9)
     with pytest.raises(ValueError):
         Scalar(2.0)
-    with pytest.raises(ValueError):
-        PolydiskMap(2, ((3, Identity()), (1, Identity())))
-    with pytest.raises(ValueError):
-        PolydiskMap(2, ((1, Identity()),))
 
 
 def test_default_boundary_radius_matches_contract():
