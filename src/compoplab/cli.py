@@ -1,7 +1,8 @@
 """Command-line front end for the experiment registry.
 
 Exit codes: 0 when every in-experiment assertion passes, 2 when an
-assertion fails, 1 on configuration or runtime error.
+assertion fails, 1 on configuration or runtime error (an argument the
+parser rejects, or a sample count below 1, included).
 """
 
 from __future__ import annotations
@@ -34,7 +35,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a rejected argument, the code of a failed
+        # assertion here: report it as the configuration error it is
+        if exc.code == 2:
+            raise SystemExit(1) from None
+        raise
     config = ExperimentConfig(
         experiment=args.experiment,
         out=args.out,

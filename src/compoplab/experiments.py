@@ -771,6 +771,8 @@ def run(config: ExperimentConfig) -> RunManifest:
             f"unknown experiment {config.experiment!r}; "
             f"known: {', '.join(sorted(REGISTRY))}"
         )
+    if config.samples is not None and config.samples < 1:
+        raise ValueError(f"samples must be >= 1, got {config.samples}")
     out_dir = Path(config.out) / config.experiment
     out_dir.mkdir(parents=True, exist_ok=True)
     rec = _Recorder(config)

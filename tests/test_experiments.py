@@ -91,8 +91,28 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_rejects_unknown_experiment():
-    with pytest.raises(SystemExit):
+    # exit 2 is a failed assertion; a rejected argument is a configuration error
+    with pytest.raises(SystemExit) as exc:
         main(["--experiment", "nope"])
+    assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("argv", [[], ["--experiment", "tensor-lemma", "--samples", "x"]])
+def test_cli_rejects_missing_or_malformed_arguments(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_samples_below_one_is_a_configuration_error(samples, tmp_path):
+    with pytest.raises(ValueError, match="samples"):
+        run(ExperimentConfig(experiment="blaschke-passage", out=str(tmp_path), samples=samples))
+    rc = main(
+        ["--experiment", "blaschke-passage", "--out", str(tmp_path), "--samples", str(samples)]
+    )
+    assert rc == 1
+    assert not (tmp_path / "blaschke-passage").exists()
 
 
 def test_rerun_reproduces_tables_byte_identically(tmp_path):

@@ -110,9 +110,12 @@ def test_nu_count_trivial_and_synthetic():
 
 
 def test_extremal_pair_count_matches_integer_loop():
-    for a_exp, b_exp in ((2.0, 1.0), (1.5, 2.25)):
-        for n in (4, 9, 17):
-            assert extremal_pair_count(a_exp, b_exp, n) == integer_pair_count(a_exp, b_exp, n)
+    # criterion 5's pairs at every n it reports, including n < 3 (no pairs)
+    for a_exp, b_exp in ((2.0, 1.0), (1.5, 2.25), (2.0, 2.0), (2.0, 3.0), (2.0, 4.0)):
+        for n in range(1, 31):
+            count = extremal_pair_count(a_exp, b_exp, n)
+            assert count == integer_pair_count(a_exp, b_exp, n), (a_exp, b_exp, n)
+            assert (count == 0) == (n < 3), (a_exp, b_exp, n)
 
 
 def test_nu_count_requires_normalized_heads():

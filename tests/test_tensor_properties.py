@@ -48,15 +48,38 @@ def double_loop(s, t, threshold):
     c=st.floats(0.05, 2.0),
     n=st.integers(1, 20),
     power=st.integers(0, 6),
+    data=st.data(),
 )
-def test_nu_count_equals_oracle(s, t, c, n, power):
+def test_nu_count_equals_oracle(s, t, c, n, power, data):
     # plant a pair whose product equals the threshold exactly:
     # 2^-power * (threshold * 2^power) is exact in binary floating point
     threshold = math.exp(-c * n)
     if threshold * 2.0**power <= 1.0:
         s = np.sort(np.append(s, 2.0**-power))[::-1]
         t = np.sort(np.append(t, threshold * 2.0**power))[::-1]
-    assert nu_count(s, t, c, n) == nu_count_bruteforce(s, t, c, n) == double_loop(s, t, threshold)
+    count = nu_count(s, t, c, n)
+    assert count == nu_count_bruteforce(s, t, c, n) == double_loop(s, t, threshold)
+    # the oracle makes no use of the order of its inputs
+    s_shuffled = s[data.draw(st.permutations(range(s.size)))]
+    t_shuffled = t[data.draw(st.permutations(range(t.size)))]
+    assert nu_count_bruteforce(s_shuffled, t_shuffled, c, n) == count
+
+
+def test_oracle_heavy_ties_at_the_threshold():
+    # hundreds of copies of a value whose product with 0.5 is the threshold
+    # exactly (never counted), beside a few copies of the next float up
+    # (counted with 1.0 and 0.5), in shuffled order
+    threshold = math.exp(-1.0 * 3)
+    at = 2.0 * threshold
+    above = np.nextafter(at, 1.0)
+    s = np.repeat([1.0, 0.5, 0.25], [3, 400, 50])
+    t = np.repeat([above, at, 0.01], [7, 600, 90])
+    expected = 3 * (600 + 7) + 400 * 7
+    assert nu_count(s, t, 1.0, 3) == double_loop(s, t, threshold) == expected
+    rng = np.random.default_rng(11)
+    s_shuffled, t_shuffled = rng.permutation(s), rng.permutation(t)
+    assert nu_count_bruteforce(s_shuffled, t_shuffled, 1.0, 3) == expected
+    assert nu_count_bruteforce(s, t, 1.0, 3) == expected
 
 
 @PROPERTY
