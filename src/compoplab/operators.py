@@ -5,7 +5,11 @@ circle transform (`_grid_power_columns`) gives every such column, for
 `build_matrix` and `hs_norm_sq` alike.  It splits k = 0..K-1 into
 contiguous ranges, one per core, each on its own thread; each range
 rebuilds its first power with the products of the serial loop, so the
-columns do not depend on the core count, bit for bit.  The diagonal
+columns do not depend on the core count, bit for bit.  A symbol that
+declares real Taylor coefficients (`Symbol.real_coefficients`) has
+Hermitian samples on the circle, so the transform samples half of it and
+its columns, and the sections built from them, are real float64; every
+other symbol gives complex128 columns.  The diagonal
 polydisk map Phi(z) = (phi(z_1), ..., phi(z_1)) on H^2(D^N) reduces
 exactly to a one-variable matrix whose column k carries the multiplicity
 weight sqrt(C(k+N-1, N-1)); see `build_matrix`.
@@ -41,11 +45,12 @@ __all__ = [
     "unboundedness_witness",
 ]
 
-# Bytes of samples per batched FFT call, shared by the ranges of
-# `_grid_power_columns`: 4 power rows at K = 2048 and 8 at K = 1024 on one
-# range, 2 and 4 per range on two.  It also caps the ranges at one per
-# block of powers, so small K keeps one range.  Each FFT row is computed
-# alone, so the columns do not depend on it.
+# Bytes per batched FFT call, shared by the ranges of `_grid_power_columns`,
+# at 16 bytes per sample of the M-point circle: 4 power rows at K = 2048 and
+# 8 at K = 1024 on one range, 2 and 4 per range on two.  A Hermitian row
+# holds the same bytes, M/2 + 1 complex samples and M real outputs.  It
+# also caps the ranges at one per block of powers, so small K keeps one
+# range.  Each FFT row is computed alone, so the columns do not depend on it.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -56,13 +61,19 @@ def _core_count() -> int:
     return os.cpu_count() or 1
 
 
-def _transform_range(values, unscale, lo, hi, block, running, sink):
+def _transform_range(values, unscale, lo, hi, block, running, real_out, sink):
     """Pass (k0, cols) to `sink` for the powers phi^k, lo <= k < hi, one
-    batched in-place FFT per `block` of rows.
+    batched FFT per `block` of rows.
 
     Row k is row k-1 times `values`, from a row of ones, the same products
     in the same order for every range: the rows below lo are rebuilt in
     `block` and not transformed.  `running` holds the last row of a block.
+    With `real_out` None the rows are the full circle and the FFT runs in
+    place.  Otherwise `values` are the conjugated samples of the half
+    circle, and the unscaled inverse real FFT into `real_out` is the FFT of
+    the Hermitian row, bit for bit `np.fft.hfft` of the unconjugated
+    powers (negation is exact, so the powers of the conjugates are the
+    conjugated powers).
     """
     truncation = unscale.size
     k0 = 0
@@ -76,8 +87,14 @@ def _transform_range(values, unscale, lo, hi, block, running, sink):
             np.multiply(block[i - 1], values, out=block[i])
         running[:] = block[b - 1]
         if k0 >= lo:
-            # in place (needs numpy >= 2.0): a fresh output per block cost more than the FFT
-            cols = np.fft.fft(block[:b], axis=1, out=block[:b])[:, :truncation] * unscale
+            # into a preallocated output (needs numpy >= 2.0): a fresh
+            # output per block cost more than the FFT
+            if real_out is None:
+                cols = np.fft.fft(block[:b], axis=1, out=block[:b])
+            else:
+                m = real_out.shape[1]
+                cols = np.fft.irfft(block[:b], m, axis=1, norm="forward", out=real_out[:b])
+            cols = cols[:, :truncation] * unscale
             if k0 <= 1 < k0 + b:
                 norm = float(np.linalg.norm(cols[1 - k0]))
                 if norm > 1.0 + 1e-9:
@@ -96,12 +113,18 @@ def _grid_power_columns(spec: Symbol, truncation: int, sink) -> None:
     8K samples rounded up to a power of two: 16,384 at K = 2048), then
     pointwise powers and their FFTs: the discrete Cauchy integral
     c_k ~ (1/(M r^k)) sum_m f(r w^m) w^(-km) (Bornemann, Found. Comput.
-    Math. 11, 2011).  k = 0..K-1 is split into contiguous ranges, one per
+    Math. 11, 2011).  When `spec.real_coefficients`, phi(conj z) =
+    conj(phi(z)), so the samples of phi^k are Hermitian: phi is evaluated
+    and powered on the first M/2 + 1 nodes only, and a Hermitian FFT
+    (`np.fft.hfft`) gives the coefficients exactly real, as float64
+    columns; otherwise the columns are complex128 from full-circle FFTs.
+    k = 0..K-1 is split into contiguous ranges, one per
     core but no more than the powers fill blocks of `_BLOCK_BYTES`, and
     each range runs on its own thread, the first on the calling thread, so
     `sink` must write each call into its own slice.  A range fills its
     powers in row blocks that share `_BLOCK_BYTES` with the other ranges,
-    and takes one batched FFT per block, in place.  It rebuilds its first
+    and takes one batched FFT per block, into a preallocated output (in
+    place on the complex path).  It rebuilds its first
     power with the products of the serial loop, and every FFT row is
     computed alone, so the columns equal those of one FFT per column bit
     for bit, whatever the core count.  The alias bound holds uniformly in
@@ -114,7 +137,9 @@ def _grid_power_columns(spec: Symbol, truncation: int, sink) -> None:
     order = truncation - 1
     r = default_radius(order)
     m = default_sample_count(order)
-    values = np.asarray(spec.evaluate(_circle_nodes(r, m)), dtype=complex)
+    hermitian = spec.real_coefficients
+    nodes = _circle_nodes(r, m)
+    values = np.asarray(spec.evaluate(nodes[: m // 2 + 1] if hermitian else nodes), dtype=complex)
     top = float(np.max(np.abs(values)))
     if top > 1.0 + 1e-9:
         raise SingularEvaluationError(
@@ -124,10 +149,15 @@ def _grid_power_columns(spec: Symbol, truncation: int, sink) -> None:
     block_rows = max(1, _BLOCK_BYTES // (16 * m))
     ranges = min(_core_count(), -(-truncation // block_rows))
     rows = max(1, min(truncation, block_rows) // ranges)
-    blocks = np.empty((ranges, rows, m), dtype=complex)
-    running = np.empty((ranges, m), dtype=complex)
+    blocks = np.empty((ranges, rows, values.size), dtype=complex)
+    running = np.empty((ranges, values.size), dtype=complex)
+    if hermitian:
+        values = np.conj(values)
+        real_out = np.empty((ranges, rows, m))
+    else:
+        real_out = [None] * ranges
     bounds = [j * truncation // ranges for j in range(ranges + 1)]
-    jobs = list(zip(bounds, bounds[1:], blocks, running))
+    jobs = list(zip(bounds, bounds[1:], blocks, running, real_out))
     # the first range runs on the calling thread, because each worker
     # thread's malloc arena keeps about 1 MB more resident; with one range
     # the pool starts no thread
@@ -151,7 +181,8 @@ def multiplicity_weights(truncation: int, dimension: int) -> np.ndarray:
 def build_matrix(spec: Symbol, truncation: int, dimension: int = 1) -> np.ndarray:
     """K x K matrix of C_Phi for Phi = (phi(z_1), ..., phi(z_1)) on H^2(D^N).
 
-    Column k is sqrt(C(k+N-1, N-1)) times the coefficients of phi^k; at
+    float64 when `spec.real_coefficients`, complex128 otherwise.  Column k
+    is sqrt(C(k+N-1, N-1)) times the coefficients of phi^k; at
     N = 1 the weights are exactly 1, which is the matrix of C_phi on H^2(D).
     With J h (z) = h(z_1) and (M f)(z) = f(z, ..., z) one has
     C_Phi = J C_phi M.  J is an isometry, and on the monomial basis of
@@ -165,7 +196,8 @@ def build_matrix(spec: Symbol, truncation: int, dimension: int = 1) -> np.ndarra
     if not 1 <= truncation <= MAX_ORDER:
         raise ValueError(f"truncation must lie in [1, {MAX_ORDER}]")
     weights = multiplicity_weights(truncation, dimension)
-    entries = np.empty((truncation, truncation), dtype=complex)
+    dtype = float if spec.real_coefficients else complex
+    entries = np.empty((truncation, truncation), dtype=dtype)
 
     def put(k0, cols):
         entries[:, k0 : k0 + len(cols)] = (cols * weights[k0 : k0 + len(cols), None]).T
@@ -189,9 +221,13 @@ def hs_norm_sq(spec: Symbol, truncation: int) -> HsReport:
     phi^k over j < K only, so it is a lower bound of ||phi^k||^2, and the
     gap grows with k.  For Shapiro-Taylor theta = 3 at K = 2048 the full
     norm is 1.2 times the truncated one at k = 1000 and 182 times at
-    k = 2047 (ROADMAP, Baseline); ROADMAP item 2 plans full norms.  The
-    trend compares dyadic blocks of k: block sums decaying faster than 1/j
-    are summable, flat or growing blocks are not.
+    k = 2047.  Those full norms are the boundary integrals
+    (1/2pi) int |phi|^(2k) dt, taken in strip coordinates (dt = du/cosh u)
+    on the lines Im alpha = +-(pi/2 - 1e-9) by the trapezoid rule on
+    u in [-40, 700) with step 5e-4; at k = 1 and k = 100 they agree with
+    the truncated norms to 4 digits.  ROADMAP item 2 plans full norms.
+    The trend compares dyadic blocks of k: block sums decaying faster than
+    1/j are summable, flat or growing blocks are not.
     """
     if truncation < 64:
         raise ValueError("Hilbert-Schmidt trend needs truncation >= 64")

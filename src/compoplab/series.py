@@ -5,7 +5,9 @@ rule.  The sampling circle of the discrete Cauchy integral that recovers
 the coefficients of the powers phi^k (`operators._grid_power_columns`)
 is set here.  For a truncation K (coefficients of degree < K, so order
 K - 1) the radius is exp(-8/(K-1)) and the sample count is 8K rounded up
-to a power of two: 16,384 at K = 2048.
+to a power of two: 16,384 at K = 2048.  A symbol with real Taylor
+coefficients is sampled on the first half of that circle only (the other
+half holds the conjugates), and its sections are real float64 matrices.
 """
 
 from __future__ import annotations

@@ -78,6 +78,13 @@ class Symbol(abc.ABC):
     def _raw(self, z: np.ndarray) -> np.ndarray:
         """Evaluate without domain or finiteness checks."""
 
+    @property
+    def real_coefficients(self) -> bool:
+        """True when every Taylor coefficient of phi is real, so that
+        phi(conj z) = conj(phi(z)) and the matrix of C_phi is real.  A fact
+        about the map, declared by each class; False unless declared."""
+        return False
+
     def evaluate(self, z):
         """Evaluate at points of the open disk (scalar or array)."""
         arr = np.asarray(z, dtype=complex)
@@ -114,6 +121,8 @@ class Symbol(abc.ABC):
 
 @dataclass(frozen=True)
 class Identity(Symbol):
+    real_coefficients = True
+
     def _raw(self, z):
         return z
 
@@ -127,6 +136,10 @@ class Scalar(Symbol):
     def __post_init__(self):
         if abs(self.c) > 1.0 + 1e-12:
             raise ValueError(f"constant must satisfy |c| <= 1, got |c|={abs(self.c)}")
+
+    @property
+    def real_coefficients(self) -> bool:
+        return complex(self.c).imag == 0.0
 
     def _raw(self, z):
         return np.full_like(z, complex(self.c))
@@ -153,6 +166,7 @@ class Lens(Symbol):
     """
 
     theta: float
+    real_coefficients = True
 
     def __post_init__(self):
         if not 0.0 < self.theta <= 1.0:
@@ -183,6 +197,8 @@ class Cusp(Symbol):
     second, polynomial contact at z = -1 and destroy this smallness.)
     """
 
+    real_coefficients = True
+
     def _raw(self, z):
         w = -_principal_log((1.0 - z) / 4.0)
         return (w - 1.0) / (w + 1.0)
@@ -193,6 +209,7 @@ class BlaschkeSquare(Symbol):
     """B(z) = ((z-a)/(1-az))^2, 0 < a < 1: two-valent, B(D \\ {0}) = D."""
 
     a: float
+    real_coefficients = True
 
     def __post_init__(self):
         if not 0.0 < self.a < 1.0:
@@ -224,6 +241,7 @@ class ShapiroTaylor(Symbol):
     """
 
     theta: float
+    real_coefficients = True
 
     def __post_init__(self):
         if not self.theta > 0.0:
@@ -263,6 +281,10 @@ class Compose(Symbol):
     outer: Symbol
     inner: Symbol
 
+    @property
+    def real_coefficients(self) -> bool:
+        return self.outer.real_coefficients and self.inner.real_coefficients
+
     def _raw(self, z):
         return self.outer._raw(self.inner._raw(z))
 
@@ -279,6 +301,10 @@ class ExplicitSeries(Symbol):
         top = float(np.max(np.abs(self.series(_circle_nodes(1.0, m)))))
         if top > 1.0 + 1e-9:
             raise ValueError(f"polynomial is not a self-map: max |p| = {top:.6g} > 1 on the circle")
+
+    @property
+    def real_coefficients(self) -> bool:
+        return bool(np.all(self.series.coeffs.imag == 0.0))
 
     def _raw(self, z):
         return self.series(z)

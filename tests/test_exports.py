@@ -86,6 +86,10 @@ SHARED_MEMBER_READS = {
         for name in ("distance_vector", "far_mask", "far_scores")
     },
     **{(cls, "strip_image"): "kernel_lower_bound" for cls in ("Symbol", "Lens", "ShapiroTaylor")},
+    **{
+        (cls, "real_coefficients"): "_grid_power_columns"
+        for cls in ("Symbol", "Scalar", "Compose", "ExplicitSeries")
+    },
 }
 
 

@@ -9,15 +9,32 @@ from hypothesis import strategies as st
 import compoplab as C
 from compoplab.experiments import blaschke_passage, contraction_floor
 from compoplab.spectra import linear_fit
+from compoplab.series import PowerSeries
 from compoplab.symbols import (
     BlaschkeSquare,
+    Compose,
     Cusp,
+    ExplicitSeries,
     Identity,
     Lens,
+    Rotation,
     Scalar,
     ShapiroTaylor,
     blaschke_contraction_ratio,
 )
+
+
+def test_declared_real_coefficients_mean_conjugate_symmetry(roster):
+    points = np.random.default_rng(7)
+    z = np.sqrt(points.uniform(0.0, 0.998, 2000)) * np.exp(2j * np.pi * points.uniform(size=2000))
+    declared = [name for name, spec in roster.items() if spec.real_coefficients]
+    assert "rotation" not in declared and len(declared) == len(roster) - 1
+    for name in declared:
+        want = np.conj(roster[name].evaluate(z))
+        assert np.all(np.abs(roster[name].evaluate(np.conj(z)) - want) <= 1e-15 * np.abs(want)), name
+    assert not ExplicitSeries(PowerSeries([0.25, 0.5j])).real_coefficients
+    assert not Scalar(0.5j).real_coefficients
+    assert not Compose(Lens(0.5), Rotation(0.3)).real_coefficients
 
 
 def test_lens_fixes_origin():
