@@ -226,16 +226,14 @@ def kernel_slope(rows, n_theta: float):
 
 def kronecker_gap(rngs):
     """(max |merged - kron| / kron[0] over one random 5x5 (x) 6x6 complex pair per
-    generator, whether it is below 1e-10)."""
-    worst = 0.0
-    for rng in rngs:
-        a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        b = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        sa = np.linalg.svd(a, compute_uv=False)
-        sb = np.linalg.svd(b, compute_uv=False)
-        merged = tensor_merge([sa, sb], 30)
-        kron = np.linalg.svd(np.kron(a, b), compute_uv=False)
-        worst = max(worst, float(np.max(np.abs(merged.values - kron))) / kron[0])
+    generator, drawing a then b, whether it is below 1e-10); one stacked SVD each."""
+    draws = [
+        [g.standard_normal((m, m)) + 1j * g.standard_normal((m, m)) for m in (5, 6)] for g in rngs
+    ]
+    sa, sb = (np.linalg.svd(np.array(x), compute_uv=False) for x in zip(*draws))
+    kron = np.linalg.svd(np.array([np.kron(a, b) for a, b in draws]), compute_uv=False)
+    gaps = [np.abs(tensor_merge([x, y], 30).values - k).max() / k[0] for x, y, k in zip(sa, sb, kron)]
+    worst = float(max(gaps))
     return worst, worst < 1e-10
 
 

@@ -70,12 +70,12 @@ class SingularSpectrum:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1 or v.size == 0:
             raise ValueError("spectrum must be a non-empty 1-d array")
-        if np.any(v < 0.0):
+        if (v < 0.0).any():
             raise ValueError("s-numbers must be non-negative")
         tol = 1e-12 * max(float(v[0]), 1.0)
-        if np.any(np.diff(v) > tol):
+        if (v[1:] - v[:-1] > tol).any():
             raise ValueError("s-numbers must be non-increasing")
-        v = np.minimum.accumulate(v)
+        v = np.minimum.accumulate(v) if (v[1:] > v[:-1]).any() else v.copy()
         if self.semantics not in _SEMANTICS:
             raise ValueError(f"unknown semantics {self.semantics!r}")
         if not (math.isfinite(self.floor) and self.floor >= 0.0):
@@ -112,19 +112,37 @@ def _as_array(spectrum) -> np.ndarray:
     return np.asarray(spectrum, dtype=float)
 
 
+def _spectrum(f) -> SingularSpectrum:
+    """f, or a bare array read as a synthetic SingularSpectrum (so it must be ordered)."""
+    return f if isinstance(f, SingularSpectrum) else SingularSpectrum(f, truncation=np.size(f))
+
+
+def _groups(v: np.ndarray):
+    """Distinct values of a non-increasing array, where each starts and its multiplicity."""
+    new = np.ones(v.size, dtype=bool)
+    np.not_equal(v[1:], v[:-1], out=new[1:])
+    starts = new.nonzero()[0]
+    return v[starts], starts, np.diff(starts, append=v.size)
+
+
 def _merge_two(s: np.ndarray, t: np.ndarray, n_max: int) -> np.ndarray:
     """Top n_max products s_j t_k in non-increasing order.
 
     A pair (j, k) (1-based) among the top n_max has j*k <= n_max: the j*k
     pairs (j', k') with j' <= j, k' <= k are each at least as large, since
-    rounding a product is monotone.  The candidates s_j * t[:n_max // j]
-    for j <= n_max therefore hold the top-n_max multiset, ties included.
+    rounding a product is monotone.  Equal values give equal products, so the
+    candidates are the products of distinct values whose groups start at
+    j0*k0 <= n_max, sorted and expanded by multiplicity up to n_max.
     """
-    candidates = np.concatenate(
-        [s[j - 1] * t[: n_max // j] for j in range(1, min(s.size, n_max) + 1)]
-    )
-    cut = candidates.size - min(n_max, candidates.size)
-    return np.sort(np.partition(candidates, cut)[cut:])[::-1]
+    (s_vals, s_start, s_mult), (t_vals, t_start, t_mult) = _groups(s[:n_max]), _groups(t[:n_max])
+    reach = t_start.searchsorted(n_max // (s_start + 1))
+    rows = np.arange(s_vals.size).repeat(reach)
+    cols = np.arange(rows.size) - (reach.cumsum() - reach)[rows]
+    products, mult = s_vals[rows] * t_vals[cols], s_mult[rows] * t_mult[cols]
+    order = products.argsort()[::-1]
+    counts = np.minimum(mult[order].cumsum(), n_max)
+    counts[1:] -= counts[:-1]
+    return products[order].repeat(counts)
 
 
 def tensor_merge(factors: Sequence, n_max: int) -> SingularSpectrum:
@@ -135,35 +153,33 @@ def tensor_merge(factors: Sequence, n_max: int) -> SingularSpectrum:
     products of A x B.  Each fold keeps the products s_j t_k with
     j*k <= n_max, which hold its top n_max values (see `_merge_two`).
     The result carries the weakest semantics of its factors, a bare
-    array counting as synthetic.
+    array counting as synthetic (and so ordered as a SingularSpectrum).
     """
     if not factors:
         raise ValueError("need at least one factor spectrum")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    arrays = [_as_array(f) for f in factors]
-    semantics = max(
-        (f.semantics if isinstance(f, SingularSpectrum) else "synthetic" for f in factors),
-        key=_SEMANTICS.index,
-    )
-    merged = arrays[0][:n_max]
-    for nxt in arrays[1:]:
-        merged = _merge_two(merged, nxt, n_max)
+    spectra = [_spectrum(f) for f in factors]
+    semantics = max((f.semantics for f in spectra), key=_SEMANTICS.index)
+    merged = spectra[0].values[:n_max]
+    for nxt in spectra[1:]:
+        merged = _merge_two(merged, nxt.values, n_max)
     return SingularSpectrum(merged, truncation=merged.size, semantics=semantics)
 
 
 def nu_count(s, t, c: float, n: int) -> int:
-    """Number of pairs (j, k) with s_j t_k > e^{-cn}; s_1, t_1 <= 1 required."""
-    sv, tv = _as_array(s), _as_array(t)
+    """Number of pairs (j, k) with s_j t_k > e^{-cn}; s_1, t_1 <= 1, bare arrays ordered."""
+    sv, tv = _spectrum(s).values, _spectrum(t).values
     if sv[0] > 1.0 + 1e-12 or tv[0] > 1.0 + 1e-12:
         raise ValueError("factor spectra must be normalized to s_1, t_1 <= 1")
     threshold = math.exp(-c * n)
-    # searchsorted on the reversed tail gives a near-boundary guess; a local
-    # fix-up then decides ties by the product itself, so the count agrees
-    # exactly with the double-loop definition s_j t_k > threshold
+    # per distinct s_j, searchsorted on the reversed tail gives a near-boundary
+    # guess and a local fix-up decides ties by the product itself, so the count
+    # agrees exactly with the double-loop definition s_j t_k > threshold
     t_rev = tv[::-1]
     count = 0
-    for sj in sv:
+    s_vals, _, s_mult = _groups(sv)
+    for sj, mult in zip(s_vals, s_mult.tolist()):
         if not sj * tv[0] > threshold:
             break
         k = tv.size - int(np.searchsorted(t_rev, threshold / sj, side="right"))
@@ -171,8 +187,8 @@ def nu_count(s, t, c: float, n: int) -> int:
             k -= 1
         while k < tv.size and sj * tv[k] > threshold:
             k += 1
-        count += k
-    return int(count)
+        count += mult * k
+    return count
 
 
 def nu_count_bruteforce(s, t, c: float, n: int) -> int:
@@ -196,12 +212,21 @@ def nu_count_bruteforce(s, t, c: float, n: int) -> int:
     return count
 
 
+def _level_sizes(exponent: float, levels: int) -> np.ndarray:
+    """Sizes floor(p^A) - floor((p-1)^A) of the levels p = 1..levels."""
+    return np.diff(np.floor(np.arange(0, levels + 1, dtype=float) ** exponent).astype(int))
+
+
 def extremal_spectrum(exponent: float, c: float, levels: int) -> np.ndarray:
     """s_j = e^{-c * ceil(j^(1/A))}: the extremal sequence with a_{[n^A]} <= e^{-cn}."""
     if exponent <= 0 or c <= 0:
         raise ValueError("exponent and rate must be positive")
-    sizes = np.diff(np.floor(np.arange(0, levels + 1, dtype=float) ** exponent).astype(int))
-    return np.repeat(np.exp(-c * np.arange(1, levels + 1, dtype=float)), sizes)
+    return np.repeat(np.exp(-c * np.arange(1.0, levels + 1)), _level_sizes(exponent, levels))
+
+
+def _pair_count(sizes_a: np.ndarray, sizes_b: np.ndarray, n: int) -> int:
+    """Level pairs p + q <= n - 1 weighted by their sizes (see extremal_pair_count)."""
+    return int(np.dot(sizes_a[: max(n - 2, 0)], np.cumsum(sizes_b[: max(n - 2, 0)])[::-1]))
 
 
 def extremal_pair_count(a_exp: float, b_exp: float, n: int) -> int:
@@ -212,9 +237,7 @@ def extremal_pair_count(a_exp: float, b_exp: float, n: int) -> int:
     reversed cumulative sizes, in int64 (0 for n < 3).  This equals
     nu_count on the extremal sequences for any rate c > 0.
     """
-    count_a = np.diff(np.floor(np.arange(0, n, dtype=float) ** a_exp).astype(int))
-    count_b = np.diff(np.floor(np.arange(0, n, dtype=float) ** b_exp).astype(int))
-    return int(np.dot(count_a[: n - 2], np.cumsum(count_b[: n - 2])[::-1]))
+    return _pair_count(_level_sizes(a_exp, n - 1), _level_sizes(b_exp, n - 1), n)
 
 
 # last n at which find_M checks its inequality directly
@@ -223,7 +246,7 @@ _FIND_M_N = 100
 
 def find_M(a_exp: float, b_exp: float) -> int:
     """Smallest integer M with sum_{l<=n} (n-l+1)^A l^(B-1) <= M n^(A+B) - 1
-    for all n <= 100.
+    for all n <= 100; these sums T(n) are the head of one convolution.
 
     The certificate that M keeps working beyond n = 100: the normalized sums
     T(n)/n^(A+B) converge to the Riemann-sum limit Beta(A+1, B) and their
@@ -231,20 +254,15 @@ def find_M(a_exp: float, b_exp: float) -> int:
     """
     if a_exp <= 0 or b_exp <= 0:
         raise ValueError("exponents must be positive")
-    best = 1
-    tail_ratios = []
-    for n in range(1, _FIND_M_N + 1):
-        l = np.arange(1, n + 1, dtype=float)
-        total = float(np.sum((n - l + 1.0) ** a_exp * l ** (b_exp - 1.0)))
-        ratio = (total + 1.0) / float(n) ** (a_exp + b_exp)
-        best = max(best, math.ceil(ratio - 1e-12))
-        if n > _FIND_M_N - 10:
-            tail_ratios.append(ratio)
+    i = np.arange(1, _FIND_M_N + 1, dtype=float)
+    totals = np.convolve(i**a_exp, i ** (b_exp - 1.0))[:_FIND_M_N]
+    ratios = (totals + 1.0) / i ** (a_exp + b_exp)
+    best = max(1, math.ceil(float(ratios.max()) - 1e-12))
     # Beta(A+1, B) = Gamma(A+1) Gamma(B) / Gamma(A+B+1)
     limit = math.exp(
         math.lgamma(a_exp + 1.0) + math.lgamma(b_exp) - math.lgamma(a_exp + b_exp + 1.0)
     )
-    if best <= limit or max(tail_ratios) > best:
+    if best <= limit or ratios[-10:].max() > best:
         raise ArithmeticError(
             f"cannot certify M={best} beyond n={_FIND_M_N}: Riemann limit {limit:.4g}"
         )
@@ -270,11 +288,10 @@ class TensorLemmaReport:
 
 def tensor_lemma_report(a_exp: float, b_exp: float, n_max: int = 30) -> TensorLemmaReport:
     m_const = find_M(a_exp, b_exp)
-    nu = np.empty(n_max, dtype=int)
-    budget = np.empty(n_max, dtype=int)
-    for n in range(1, n_max + 1):
-        nu[n - 1] = extremal_pair_count(a_exp, b_exp, n)
-        budget[n - 1] = m_const * int(float(n) ** (a_exp + b_exp))
+    sizes_a, sizes_b = _level_sizes(a_exp, n_max - 1), _level_sizes(b_exp, n_max - 1)
+    ns = range(1, n_max + 1)
+    nu = np.array([_pair_count(sizes_a, sizes_b, n) for n in ns], dtype=int)
+    budget = np.array([m_const * int(float(n) ** (a_exp + b_exp)) for n in ns], dtype=int)
     return TensorLemmaReport(m_const, nu, budget)
 
 

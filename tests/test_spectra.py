@@ -21,6 +21,7 @@ from compoplab.spectra import (
     nu_count,
     nu_count_bruteforce,
     singular_values,
+    tensor_lemma_report,
     tensor_merge,
     upper_bound_plain,
     upper_bound_weighted,
@@ -93,6 +94,46 @@ def test_merge_takes_the_weakest_factor_semantics():
             assert tensor_merge(list(factors), 4).semantics == expected, factors
 
 
+def test_merge_cut_inside_a_tie_group():
+    # products 1.0 (6 pairs), 0.5 (13 pairs), 0.25 (6 pairs): every n_max
+    # from 7 to 18 cuts inside the group of 0.5
+    s = np.repeat([1.0, 0.5], [2, 3])
+    t = np.repeat([1.0, 0.5], [3, 2])
+    assert np.array_equal(tensor_merge([s, t], 10).values, np.repeat([1.0, 0.5], [6, 4]))
+    brute = np.sort(np.outer(s, t).ravel())[::-1]
+    for n in range(1, 30):
+        assert np.array_equal(tensor_merge([s, t], n).values, brute[:n]), n
+
+
+def test_merge_of_all_distinct_factors_against_the_full_outer_product():
+    # 2,000 distinct values each: every group has one member, so the merge
+    # keeps only the pairs j*k <= n_max of the 4,000,000 products
+    rng = np.random.default_rng(2000)
+    s = np.sort(rng.uniform(0.0, 1.0, 2000))[::-1]
+    t = np.sort(rng.uniform(0.0, 1.0, 2000))[::-1]
+    assert np.unique(s).size == np.unique(t).size == 2000
+    brute = np.sort(np.outer(s, t).ravel())[::-1][:2000]
+    assert np.array_equal(tensor_merge([s, t], 2000).values, brute)
+
+
+def test_order_dependent_functions_reject_unsorted_bare_arrays():
+    # each input increases somewhere; read in order, the answers were wrong
+    # (0, 0 and [1.0, 0.1] against 2, 2 and [1.0, 0.9])
+    assert nu_count_bruteforce([0.1, 1.0], [1.0, 0.9], 1.0, 1) == 2
+    assert nu_count_bruteforce([1.0, 0.5], [0.2, 1.0], 1.0, 1) == 2
+    for call in (
+        lambda: nu_count([0.1, 1.0], [1.0, 0.9], 1.0, 1),
+        lambda: nu_count([1.0, 0.5], [0.2, 1.0], 1.0, 1),
+        lambda: tensor_merge([[0.1, 1.0], [1.0, 0.9]], 2),
+    ):
+        with pytest.raises(ValueError, match="non-increasing"):
+            call()
+    with pytest.raises(ValueError, match="non-negative"):
+        nu_count([1.0, -0.5], [1.0], 1.0, 1)
+    with pytest.raises(ValueError, match="non-negative"):
+        tensor_merge([[1.0], [1.0, -0.5]], 2)
+
+
 def test_merge_rejects_empty():
     with pytest.raises(ValueError):
         tensor_merge([], 5)
@@ -110,12 +151,15 @@ def test_nu_count_trivial_and_synthetic():
 
 
 def test_extremal_pair_count_matches_integer_loop():
-    # criterion 5's pairs at every n it reports, including n < 3 (no pairs)
+    # criterion 5's pairs at every n it reports, including n < 3 (no pairs);
+    # the report reads the same counts from level sizes built once for n = 30
     for a_exp, b_exp in ((2.0, 1.0), (1.5, 2.25), (2.0, 2.0), (2.0, 3.0), (2.0, 4.0)):
+        report = tensor_lemma_report(a_exp, b_exp, 30)
         for n in range(1, 31):
             count = extremal_pair_count(a_exp, b_exp, n)
             assert count == integer_pair_count(a_exp, b_exp, n), (a_exp, b_exp, n)
             assert (count == 0) == (n < 3), (a_exp, b_exp, n)
+            assert report.nu[n - 1] == count, (a_exp, b_exp, n)
 
 
 def test_nu_count_requires_normalized_heads():
@@ -133,6 +177,43 @@ def test_find_m_values_and_certificate():
     assert find_M(0.5, 3.0) >= 1
     with pytest.raises(ValueError):
         find_M(-1.0, 1.0)
+
+
+def find_m_loop(a_exp, b_exp):
+    """find_M's definition checked one n at a time: the smallest M >= 1 with
+    T(n) + 1 <= M n^(A+B) for n <= 100, certified by the Riemann limit
+    Beta(A+1, B) < M and by the ratios of n = 91..100 staying below M."""
+    best, tail = 1, []
+    for n in range(1, 101):
+        l = np.arange(1, n + 1, dtype=float)
+        total = float(np.sum((n - l + 1.0) ** a_exp * l ** (b_exp - 1.0)))
+        ratio = (total + 1.0) / float(n) ** (a_exp + b_exp)
+        best = max(best, math.ceil(ratio - 1e-12))
+        if n > 90:
+            tail.append(ratio)
+    limit = math.gamma(a_exp + 1.0) * math.gamma(b_exp) / math.gamma(a_exp + b_exp + 1.0)
+    if best <= limit or max(tail) > best:
+        raise ArithmeticError("no certificate")
+    return best
+
+
+def test_find_m_equals_the_per_n_loop():
+    # A in [0.25, 4] and B in [0.25, 4.5] in steps of 0.25, and the pairs the
+    # registry, the criteria and the benchmark use
+    grid = [(0.25 * i, 0.25 * j) for i in range(1, 17) for j in range(1, 19)]
+    grid += [(2.0, 1.0), (1.5, 2.25), (2.0, 2.0), (2.0, 3.0), (2.0, 4.0), (0.5, 3.0)]
+    refused = 0
+    for a_exp, b_exp in grid:
+        try:
+            want = find_m_loop(a_exp, b_exp)
+        except ArithmeticError:
+            refused += 1
+            with pytest.raises(ArithmeticError):
+                find_M(a_exp, b_exp)
+            continue
+        assert find_M(a_exp, b_exp) == want, (a_exp, b_exp)
+    # both outcomes are exercised
+    assert 0 < refused < len(grid) // 2
 
 
 def test_upper_bound_plain_zero_profile():
