@@ -2,17 +2,16 @@
 
 Column k of the matrix of C_phi is the coefficient vector of phi^k.  One
 circle transform (`_grid_power_columns`) gives every such column, for
-`build_matrix` and `hs_norm_sq` alike.  It splits k = 0..K-1 into
-contiguous ranges, one per core, each on its own thread; each range
-rebuilds its first power with the products of the serial loop, so the
-columns do not depend on the core count, bit for bit.  A symbol that
-declares real Taylor coefficients (`Symbol.real_coefficients`) has
-Hermitian samples on the circle, so the transform samples half of it and
-its columns, and the sections built from them, are real float64; every
-other symbol gives complex128 columns.  The diagonal
-polydisk map Phi(z) = (phi(z_1), ..., phi(z_1)) on H^2(D^N) reduces
-exactly to a one-variable matrix whose column k carries the multiplicity
-weight sqrt(C(k+N-1, N-1)); see `build_matrix`.
+`build_matrix` and `hs_norm_sq` alike.  The calling thread computes the
+one chain of powers in blocks and a pool of threads, one per core, runs
+their FFTs, so the columns do not depend on the core count, bit for bit.
+A symbol that declares real Taylor coefficients
+(`Symbol.real_coefficients`) has Hermitian samples on the circle, so the
+transform samples half of it and its columns, and the sections built
+from them, are real float64; every other symbol gives complex128
+columns.  The diagonal polydisk map Phi(z) = (phi(z_1), ..., phi(z_1))
+on H^2(D^N) reduces exactly to a one-variable matrix whose column k
+carries the multiplicity weight sqrt(C(k+N-1, N-1)); see `build_matrix`.
 
 Sections are lower bounds of the approximation numbers that converge
 slowly for boundary-touching symbols; `kernel_lower_bound` gives lower
@@ -45,12 +44,11 @@ __all__ = [
     "unboundedness_witness",
 ]
 
-# Bytes per batched FFT call, shared by the ranges of `_grid_power_columns`,
-# at 16 bytes per sample of the M-point circle: 4 power rows at K = 2048 and
-# 8 at K = 1024 on one range, 2 and 4 per range on two.  A Hermitian row
-# holds the same bytes, M/2 + 1 complex samples and M real outputs.  It
-# also caps the ranges at one per block of powers, so small K keeps one
-# range.  Each FFT row is computed alone, so the columns do not depend on it.
+# Bytes of one block of powers, at 16 bytes per sample of the M-point
+# circle: 4 power rows at K = 2048 and 8 at K = 1024.  A Hermitian row holds
+# the same bytes, M/2 + 1 complex samples and M real outputs.  Each thread
+# of `_grid_power_columns`'s pool owns one such block; each FFT row is
+# computed alone, so the columns do not depend on the block size.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -61,48 +59,31 @@ def _core_count() -> int:
     return os.cpu_count() or 1
 
 
-def _transform_range(values, unscale, lo, hi, block, running, real_out, sink):
-    """Pass (k0, cols) to `sink` for the powers phi^k, lo <= k < hi, one
-    batched FFT per `block` of rows.
+def _transform_block(block, real_out, unscale, k0, sink):
+    """Pass (k0, cols) to `sink`, cols[i] the coefficients of the power in
+    row i of `block`, phi^(k0+i), from one batched FFT.
 
-    Row k is row k-1 times `values`, from a row of ones, the same products
-    in the same order for every range: the rows below lo are rebuilt in
-    `block` and not transformed.  `running` holds the last row of a block.
     With `real_out` None the rows are the full circle and the FFT runs in
-    place.  Otherwise `values` are the conjugated samples of the half
-    circle, and the unscaled inverse real FFT into `real_out` is the FFT of
-    the Hermitian row, bit for bit `np.fft.hfft` of the unconjugated
-    powers (negation is exact, so the powers of the conjugates are the
-    conjugated powers).
+    place.  Otherwise the rows are the conjugated powers on the half circle,
+    and the unscaled inverse real FFT into `real_out` is the FFT of the
+    Hermitian row, bit for bit `np.fft.hfft` of the unconjugated powers
+    (negation is exact, so the powers of the conjugates are the conjugated
+    powers).
     """
-    truncation = unscale.size
-    k0 = 0
-    while k0 < hi:
-        b = min(len(block), (hi if k0 >= lo else lo) - k0)
-        if k0:
-            np.multiply(running, values, out=block[0])
-        else:
-            block[0] = 1.0
-        for i in range(1, b):
-            np.multiply(block[i - 1], values, out=block[i])
-        running[:] = block[b - 1]
-        if k0 >= lo:
-            # into a preallocated output (needs numpy >= 2.0): a fresh
-            # output per block cost more than the FFT
-            if real_out is None:
-                cols = np.fft.fft(block[:b], axis=1, out=block[:b])
-            else:
-                m = real_out.shape[1]
-                cols = np.fft.irfft(block[:b], m, axis=1, norm="forward", out=real_out[:b])
-            cols = cols[:, :truncation] * unscale
-            if k0 <= 1 < k0 + b:
-                norm = float(np.linalg.norm(cols[1 - k0]))
-                if norm > 1.0 + 1e-9:
-                    raise SingularEvaluationError(
-                        f"symbol is not a self-map: its coefficients have l2 norm {norm:.6g} > 1"
-                    )
-            sink(k0, cols)
-        k0 += b
+    # into a preallocated output (needs numpy >= 2.0): a fresh output per
+    # block cost more than the FFT
+    if real_out is None:
+        cols = np.fft.fft(block, axis=1, out=block)
+    else:
+        cols = np.fft.irfft(block, real_out.shape[1], axis=1, norm="forward", out=real_out)
+    cols = cols[:, : unscale.size] * unscale
+    if k0 <= 1 < k0 + len(cols):
+        norm = float(np.linalg.norm(cols[1 - k0]))
+        if norm > 1.0 + 1e-9:
+            raise SingularEvaluationError(
+                f"symbol is not a self-map: its coefficients have l2 norm {norm:.6g} > 1"
+            )
+    sink(k0, cols)
 
 
 def _grid_power_columns(spec: Symbol, truncation: int, sink) -> None:
@@ -118,21 +99,19 @@ def _grid_power_columns(spec: Symbol, truncation: int, sink) -> None:
     and powered on the first M/2 + 1 nodes only, and a Hermitian FFT
     (`np.fft.hfft`) gives the coefficients exactly real, as float64
     columns; otherwise the columns are complex128 from full-circle FFTs.
-    k = 0..K-1 is split into contiguous ranges, one per
-    core but no more than the powers fill blocks of `_BLOCK_BYTES`, and
-    each range runs on its own thread, the first on the calling thread, so
-    `sink` must write each call into its own slice.  A range fills its
-    powers in row blocks that share `_BLOCK_BYTES` with the other ranges,
-    and takes one batched FFT per block, into a preallocated output (in
-    place on the complex path).  It rebuilds its first
-    power with the products of the serial loop, and every FFT row is
-    computed alone, so the columns equal those of one FFT per column bit
+    The calling thread computes the one chain of powers, row k = row k-1
+    times the samples from a row of ones, in blocks of `_BLOCK_BYTES`, and
+    hands each block to a pool of min(cores, blocks) threads that run its
+    batched FFT and `sink` (`_transform_block`), so `sink` must write each
+    call into its own slice.  Each pool thread owns one block, refilled
+    once its previous transform is done.  With one chain, and every FFT
+    row computed alone, the columns equal those of one FFT per column bit
     for bit, whatever the core count.  The alias bound holds uniformly in
     k only for sup |phi| <= 1, so two lower bounds of sup |phi| are
-    checked against 1: the maximum modulus on the circle, before the
-    split, and the l2 norm of column 1 (the H^2 norm of phi, up to alias
-    and rounding), in the range that holds it.  An error in a range is
-    raised once every range has stopped.
+    checked against 1: the maximum modulus on the circle, before any
+    power, and the l2 norm of column 1 (the H^2 norm of phi, up to alias
+    and rounding), in the block that holds it.  An error in a block is
+    raised once every submitted block has stopped.
     """
     order = truncation - 1
     r = default_radius(order)
@@ -146,26 +125,32 @@ def _grid_power_columns(spec: Symbol, truncation: int, sink) -> None:
             f"symbol is not a self-map on the sampling circle (max modulus {top:.6g})"
         )
     unscale = 1.0 / (m * r ** np.arange(truncation))
-    block_rows = max(1, _BLOCK_BYTES // (16 * m))
-    ranges = min(_core_count(), -(-truncation // block_rows))
-    rows = max(1, min(truncation, block_rows) // ranges)
-    blocks = np.empty((ranges, rows, values.size), dtype=complex)
-    running = np.empty((ranges, values.size), dtype=complex)
+    rows = min(truncation, max(1, _BLOCK_BYTES // (16 * m)))
+    starts = range(0, truncation, rows)
+    slots = min(_core_count(), len(starts))
+    blocks = np.empty((slots, rows, values.size), dtype=complex)
+    running = np.empty(values.size, dtype=complex)
     if hermitian:
         values = np.conj(values)
-        real_out = np.empty((ranges, rows, m))
-    else:
-        real_out = [None] * ranges
-    bounds = [j * truncation // ranges for j in range(ranges + 1)]
-    jobs = list(zip(bounds, bounds[1:], blocks, running, real_out))
-    # the first range runs on the calling thread, because each worker
-    # thread's malloc arena keeps about 1 MB more resident; with one range
-    # the pool starts no thread
-    with ThreadPoolExecutor(max_workers=max(1, ranges - 1)) as pool:
-        futures = [pool.submit(_transform_range, values, unscale, *job, sink) for job in jobs[1:]]
-        _transform_range(values, unscale, *jobs[0], sink)
-    for future in futures:
-        future.result()
+        real_out = np.empty((slots, rows, m))
+    futures = []
+    with ThreadPoolExecutor(max_workers=slots) as pool:
+        for j, k0 in enumerate(starts):
+            if j >= slots:
+                futures[j - slots].result()  # the slot's previous block is done
+            b = min(rows, truncation - k0)
+            block = blocks[j % slots, :b]
+            if k0:
+                np.multiply(running, values, out=block[0])
+            else:
+                block[0] = 1.0
+            for i in range(1, b):
+                np.multiply(block[i - 1], values, out=block[i])
+            running[:] = block[b - 1]
+            out = real_out[j % slots, :b] if hermitian else None
+            futures.append(pool.submit(_transform_block, block, out, unscale, k0, sink))
+        for future in futures:
+            future.result()
 
 
 def multiplicity_weights(truncation: int, dimension: int) -> np.ndarray:
@@ -322,10 +307,14 @@ def kernel_lower_bound(spec: Symbol, nodes):
     Cauchy matrices of `_cauchy_factor`, W the unit phases of
     cosh(alpha/2), and T = diag(sqrt(cos Im alpha / cos Im beta)
     cosh(beta/2) / cosh(alpha/2)).  With C_alpha = R_u^H R_u and
-    C_beta = R_v^H R_v the values are svd(R_v T^H R_u^-1); R_u is the R
-    factor of the kernel vectors up to a unitary factor, so values down to
-    the float floor eps * cond(R_u) * s_1 are resolved.  Values at or
-    below that floor are dropped.
+    C_beta = R_v^H R_v the values are svd(R_v T^H R_u^-1), where R_u is
+    the R factor of the kernel vectors up to a unitary factor.  Values at
+    or below the float floor eps * cond(R_u) * s_1 are dropped, but the
+    floor does not bound the error of the values it keeps: on the 105-node
+    over-dense lattice of the tests
+    (`test_kernel_lower_bound_floor_cuts_an_over_dense_lattice`, dilation
+    0.8 z, where a_1 = 1) the kept s_1 is 1.00099, above the number it
+    bounds.  ROADMAP item 1(a) plans a level that bounds it.
 
     Returns a SingularSpectrum with semantics "lower_bound_of_a_n",
     truncation equal to the node count and `floor` set to that floor.

@@ -248,9 +248,11 @@ def find_M(a_exp: float, b_exp: float) -> int:
     """Smallest integer M with sum_{l<=n} (n-l+1)^A l^(B-1) <= M n^(A+B) - 1
     for all n <= 100; these sums T(n) are the head of one convolution.
 
-    The certificate that M keeps working beyond n = 100: the normalized sums
-    T(n)/n^(A+B) converge to the Riemann-sum limit Beta(A+1, B) and their
-    tail is already below M - 1/n^(A+B).
+    The certificate that M keeps working beyond n = 100 checks two things:
+    the Riemann-sum limit Beta(A+1, B) of the normalized sums T(n)/n^(A+B)
+    lies below M, and the ratios (T(n) + 1)/n^(A+B) of the last ten n move
+    monotonically, so they are settling on that limit rather than still
+    turning.  It is evidence, not a proof; M is refused without it.
     """
     if a_exp <= 0 or b_exp <= 0:
         raise ValueError("exponents must be positive")
@@ -262,7 +264,8 @@ def find_M(a_exp: float, b_exp: float) -> int:
     limit = math.exp(
         math.lgamma(a_exp + 1.0) + math.lgamma(b_exp) - math.lgamma(a_exp + b_exp + 1.0)
     )
-    if best <= limit or ratios[-10:].max() > best:
+    steps = np.diff(ratios[-10:])
+    if best <= limit or not (np.all(steps >= 0.0) or np.all(steps <= 0.0)):
         raise ArithmeticError(
             f"cannot certify M={best} beyond n={_FIND_M_N}: Riemann limit {limit:.4g}"
         )

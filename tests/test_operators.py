@@ -1,5 +1,6 @@
 import math
 import threading
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -251,74 +252,85 @@ def test_columns_reject_a_map_that_leaves_the_disk_off_the_circle():
     assert np.array_equal(build_matrix(_WideLine(), 1), [[1.0]])
 
 
-def _record_ranges(monkeypatch, cores):
+def _record_blocks(monkeypatch, cores):
     """Run the circle transform as if on `cores` cores; the returned list
-    gathers the (lo, hi) of every range it runs."""
+    gathers the first power k0 of every block it transforms."""
     monkeypatch.setattr(operators, "_core_count", lambda: cores)
     seen = []
-    transform = operators._transform_range
+    transform = operators._transform_block
 
-    def record(values, unscale, lo, hi, *rest):
-        seen.append((lo, hi))
-        transform(values, unscale, lo, hi, *rest)
+    def record(block, real_out, unscale, k0, sink):
+        seen.append(k0)
+        transform(block, real_out, unscale, k0, sink)
 
-    monkeypatch.setattr(operators, "_transform_range", record)
+    monkeypatch.setattr(operators, "_transform_block", record)
     return seen
 
 
 @pytest.mark.parametrize(
     "spec, truncation, cores, bounds",
     [
-        (ShapiroTaylor(3.0), 2048, 2, (0, 1024, 2048)),  # on a block boundary
-        (Cusp(), 1001, 3, (0, 333, 667, 1001)),  # off the block grid
-        (Lens(0.5), 64, 4, (0, 64)),  # the powers fill one block: one range
-        (Rotation(0.3), 1001, 3, (0, 333, 667, 1001)),  # the full-circle transform
+        # blocks of 4 rows, a multiple of the 2 threads
+        (ShapiroTaylor(3.0), 2048, 2, (*range(0, 2048, 4), 2048)),
+        # blocks of 8 rows, the last one short
+        (Cusp(), 1001, 3, (*range(0, 1001, 8), 1001)),
+        (Lens(0.5), 64, 4, (0, 64)),  # the powers fill one block: one thread
+        (Rotation(0.3), 1001, 3, (*range(0, 1001, 8), 1001)),  # the full-circle transform
     ],
 )
 def test_core_count_does_not_change_the_columns(monkeypatch, spec, truncation, cores, bounds):
-    seen = _record_ranges(monkeypatch, 1)
+    monkeypatch.setattr(operators, "_core_count", lambda: 1)
     matrix, report = build_matrix(spec, truncation), hs_norm_sq(spec, truncation)
-    assert seen == [(0, truncation)] * 2
-    seen = _record_ranges(monkeypatch, cores)
+    seen = _record_blocks(monkeypatch, cores)
     assert np.array_equal(build_matrix(spec, truncation), matrix)
+    # every block start is transformed exactly once per call
+    assert sorted(seen) == list(bounds[:-1])
+    seen.clear()
     assert hs_norm_sq(spec, truncation) == report
-    assert sorted(seen) == sorted(list(zip(bounds, bounds[1:])) * 2)
+    assert sorted(seen) == list(bounds[:-1])
 
 
-def test_a_rejection_waits_for_the_other_ranges(monkeypatch):
-    # one power row per block, so K = 64 splits into one range per core
+def test_a_rejection_waits_for_the_other_blocks(monkeypatch):
+    # one power row per block, four threads
     monkeypatch.setattr(operators, "_BLOCK_BYTES", 1)
     monkeypatch.setattr(operators, "_core_count", lambda: 4)
-    transform = operators._transform_range
+    transform = operators._transform_block
     raised = threading.Event()
-    finished = []
+    submitted, finished = [], []
 
-    def hold(values, unscale, lo, hi, *rest):
-        # the ranges without column 1 start once the range with it has raised
-        if not lo <= 1 < hi:
-            assert raised.wait(10)
+    def hold(block, real_out, unscale, k0, sink):
+        # the blocks without column 1 finish well after the block with it
+        # has raised
+        submitted.append(k0)
         try:
-            transform(values, unscale, lo, hi, *rest)
+            if k0 != 1:
+                assert raised.wait(10)
+                time.sleep(0.05)
+            transform(block, real_out, unscale, k0, sink)
         except SingularEvaluationError:
             raised.set()
             raise
         finally:
-            finished.append((lo, hi))
+            finished.append(k0)
 
-    monkeypatch.setattr(operators, "_transform_range", hold)
+    monkeypatch.setattr(operators, "_transform_block", hold)
     threads = threading.active_count()
-    # column 1 lies in the first of four ranges at K = 64, and is the second
-    # of two ranges at K = 2
-    for call, spec, truncation, message, ranges in (
-        (build_matrix, _HighPeak(), 64, "l2 norm 1.27", 4),
-        (hs_norm_sq, _HighPeak(), 64, "l2 norm 1.27", 4),
-        (build_matrix, _WideLine(), 2, "l2 norm 1.13", 2),
+    # at K = 64 four blocks are in flight when column 1 raises, and the
+    # calling thread stops refilling them; at K = 2 column 1 is the last block
+    for call, spec, truncation, message in (
+        (build_matrix, _HighPeak(), 64, "l2 norm 1.27"),
+        (hs_norm_sq, _HighPeak(), 64, "l2 norm 1.27"),
+        (build_matrix, _WideLine(), 2, "l2 norm 1.13"),
     ):
         raised.clear()
+        submitted.clear()
         finished.clear()
         with pytest.raises(SingularEvaluationError, match=message):
             call(spec, truncation)
-        assert len(finished) == ranges
+        done = sorted(finished)
+        time.sleep(0.2)  # a block still running would finish in this time
+        assert sorted(finished) == sorted(submitted) == done
+        assert 1 in submitted and len(submitted) <= min(truncation, 5)
         assert threading.active_count() == threads
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from compoplab import spectra
 from compoplab.carleson import CarlesonProfile
 from compoplab.experiments import kronecker_gap, schedule_route, section_decay
 from compoplab.operators import build_matrix
@@ -182,7 +183,7 @@ def test_find_m_values_and_certificate():
 def find_m_loop(a_exp, b_exp):
     """find_M's definition checked one n at a time: the smallest M >= 1 with
     T(n) + 1 <= M n^(A+B) for n <= 100, certified by the Riemann limit
-    Beta(A+1, B) < M and by the ratios of n = 91..100 staying below M."""
+    Beta(A+1, B) < M and by the ratios of n = 91..100 moving monotonically."""
     best, tail = 1, []
     for n in range(1, 101):
         l = np.arange(1, n + 1, dtype=float)
@@ -192,7 +193,9 @@ def find_m_loop(a_exp, b_exp):
         if n > 90:
             tail.append(ratio)
     limit = math.gamma(a_exp + 1.0) * math.gamma(b_exp) / math.gamma(a_exp + b_exp + 1.0)
-    if best <= limit or max(tail) > best:
+    rising = all(x <= y for x, y in zip(tail, tail[1:]))
+    falling = all(x >= y for x, y in zip(tail, tail[1:]))
+    if best <= limit or not (rising or falling):
         raise ArithmeticError("no certificate")
     return best
 
@@ -214,6 +217,14 @@ def test_find_m_equals_the_per_n_loop():
         assert find_M(a_exp, b_exp) == want, (a_exp, b_exp)
     # both outcomes are exercised
     assert 0 < refused < len(grid) // 2
+
+
+def test_find_m_refuses_a_turning_tail(monkeypatch):
+    # at n <= 15 the ratios of (0.5, 0.5) fall to 1.3396 at n = 9 and rise
+    # after it, although their largest value and the limit pi/2 fit M = 2
+    monkeypatch.setattr(spectra, "_FIND_M_N", 15)
+    with pytest.raises(ArithmeticError):
+        find_M(0.5, 0.5)
 
 
 def test_upper_bound_plain_zero_profile():
