@@ -8,7 +8,7 @@ measure lab for the spiral channel region.
 
 __version__ = "0.1.0"
 
-from .series import MAX_ORDER, PowerSeries
+from .series import MAX_ORDER
 from .symbols import (
     BlaschkeSquare,
     Compose,
@@ -21,7 +21,6 @@ from .symbols import (
     ShapiroTaylor,
     SingularEvaluationError,
     Symbol,
-    blaschke_contraction_ratio,
     shipped_symbols,
 )
 from .carleson import CarlesonProfile, rho_profile

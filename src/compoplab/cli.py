@@ -2,7 +2,8 @@
 
 Exit codes: 0 when every in-experiment assertion passes, 2 when an
 assertion fails, 1 on configuration or runtime error (an argument the
-parser rejects, or a sample count below 1, included).
+parser rejects, a sample count below 1, or one given to an experiment
+that does not sample, included).
 """
 
 from __future__ import annotations

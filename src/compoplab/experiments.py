@@ -51,14 +51,7 @@ from .spectra import (
     upper_bound_plain,
     upper_bound_weighted,
 )
-from .symbols import (
-    CROSSCHECK_BOUNDARY_RADIUS,
-    BlaschkeSquare,
-    Cusp,
-    Lens,
-    ShapiroTaylor,
-    blaschke_contraction_ratio,
-)
+from .symbols import CROSSCHECK_BOUNDARY_RADIUS, BlaschkeSquare, Cusp, Lens, ShapiroTaylor
 
 __all__ = [
     "ExperimentConfig",
@@ -129,8 +122,6 @@ class _Recorder:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
@@ -307,7 +298,7 @@ def level_constant(region: GraphChannel, hs, levels):
     the marker " (vacuous)" when no level target has a hit, else "", whether
     c_hat is finite and every probability is at most 1e-3 and at most
     max(c_hat, 1) * shape + 1e-15)."""
-    g2h = np.array([float(region.g(np.array([2.0 * h]))[0]) for h in hs])
+    g2h = region.g(2.0 * np.asarray(hs))
     shape = np.exp(region.alpha - g2h)
     probs = np.array([e.probability for e in levels])
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -338,6 +329,14 @@ def witness_growth(points: int):
     return ns, witnesses, slope, bool(abs(slope - 0.25) <= 0.03)
 
 
+def _under_float_floor(spec, lo: int, hi: int):
+    """(the first n with s_n under the float floor 1e-13 s_1, None if none is,
+    and how many of s_lo..s_hi lie under it)."""
+    under = np.flatnonzero(spec.values < 1e-13 * spec.values[0]) + 1
+    first = int(under[0]) if under.size else None
+    return first, int(np.count_nonzero((under >= lo) & (under <= hi)))
+
+
 def section_decay(spec, fit_range, min_exponent: float):
     """(stretched-exponential fit of s_n on `fit_range`, d = -slope of log s_n
     against sqrt n there, a detail line, whether the rate and d are positive, the
@@ -347,13 +346,11 @@ def section_decay(spec, fit_range, min_exponent: float):
     fit = decay_fit(spec, "stretched_exp", fit_range)
     logs = np.log(spec.values[lo - 1 : hi])
     d_rate = -linear_fit(np.sqrt(np.arange(lo, hi + 1, dtype=float)), logs)[0]
-    under = np.flatnonzero(spec.values < 1e-13 * spec.values[0]) + 1
-    fitted = np.count_nonzero((under >= lo) & (under <= hi))
+    first, fitted = _under_float_floor(spec, lo, hi)
     alpha, rate = fit.params["exponent"], fit.params["rate"]
     detail = (
         f"alpha={alpha:.3f} rate={rate:.3f} d={d_rate:.2f} R2={fit.r_squared:.4f}, "
-        f"s_n < 1e-13*s_1 from n={under[0] if under.size else None}, "
-        f"{fitted}/{hi - lo + 1} fitted points under it"
+        f"s_n < 1e-13*s_1 from n={first}, {fitted}/{hi - lo + 1} fitted points under it"
     )
     ok = rate > 0 and d_rate > 0 and alpha >= min_exponent and fit.r_squared >= 0.98
     return fit, d_rate, detail, bool(ok)
@@ -396,7 +393,8 @@ def contraction_floor(points):
     """(smallest Blaschke contraction ratio (1 - |B(z)|)/(1 - |z|) over `points`,
     the floor (1 - a^2)/4, whether the ratio is at least the floor - 1e-12), a = 0.5."""
     a = _BLASCHKE_ZERO
-    ratio = min(blaschke_contraction_ratio(a, complex(z)) for z in points)
+    z = np.asarray(points, dtype=complex)
+    ratio = float(np.min((1.0 - np.abs(BlaschkeSquare(a).evaluate(z))) / (1.0 - np.abs(z))))
     floor = (1.0 - a * a) / 4.0
     return ratio, floor, bool(ratio >= floor - 1e-12)
 
@@ -455,7 +453,7 @@ def _exp_lens_trichotomy(rec: _Recorder):
                     f"slope={slope:.4f} min/median={band:.3f}",
                 )
         else:
-            spec = singular_values(build_matrix(Lens(theta), 512, dim))
+            spec = singular_values(build_matrix(Lens(theta), 512) * multiplicity_weights(512, dim))
             _, _, detail, ok = section_decay(spec, (20, 200), 0.4)
             rec.table(
                 f"spectrum_theta{theta:.4f}".replace(".", "p"),
@@ -549,12 +547,7 @@ def _exp_spiral_harmonic(rec: _Recorder):
     # schedule this pins the usable range of t
     delta = delta_from_epsilon(epsilon_power(0.5), n_max=4096)
     t_grid = np.geomspace(1e-3, 1.0, 40)
-    margin = np.array(
-        [
-            float(region.g(np.array([t]))[0]) - region.alpha + math.log(float(delta(t / 2.0)))
-            for t in t_grid
-        ]
-    )
+    margin = region.g(t_grid) - region.alpha + np.log(delta(t_grid / 2.0))
     rec.table(
         "schedule_calibration",
         ["t", "log_margin"],
@@ -721,10 +714,13 @@ def _exp_shapiro_taylor(rec: _Recorder):
         fit = decay_fit(spec, "poly", (20, 200))
         scaled = np.arange(20, 201) ** (theta / 2.0) * spec.values[19:200]
         fit_rows.append((theta, fit.params["power"], fit.r_squared, float(scaled.min())))
+        # the collapse is read below the float floor, which the detail marks
+        first, under = _under_float_floor(spec, 1, 200)
         rec.check(
             f"theta={theta:g}: compact spectrum collapses",
             spec.a(200) < 1e-6 * spec.a(1),
-            f"s_200/s_1={spec.a(200) / spec.a(1):.2e}",
+            f"s_200/s_1={spec.a(200) / spec.a(1):.2e}, s_n < 1e-13*s_1 from n={first}, "
+            f"{under}/200 of s_1..s_200 under it",
         )
     rec.table("poly_fits", ["theta", "power", "r_squared", "min_scaled"], fit_rows)
 
@@ -751,6 +747,9 @@ REGISTRY = {
     "shapiro-taylor": _exp_shapiro_taylor,
 }
 
+# the experiments that read `ExperimentConfig.samples`; the others reject it
+_SAMPLED = ("spiral-harmonic", "blaschke-passage")
+
 
 def _write_table(path: Path, columns, rows, meta: dict) -> str:
     with open(path, "w", newline="") as fh:
@@ -768,6 +767,10 @@ def run(config: ExperimentConfig) -> RunManifest:
         raise ValueError(
             f"unknown experiment {config.experiment!r}; "
             f"known: {', '.join(sorted(REGISTRY))}"
+        )
+    if config.samples is not None and config.experiment not in _SAMPLED:
+        raise ValueError(
+            f"samples is read only by {' and '.join(_SAMPLED)}, not by {config.experiment}"
         )
     if config.samples is not None and config.samples < 1:
         raise ValueError(f"samples must be >= 1, got {config.samples}")

@@ -10,8 +10,9 @@ A symbol that declares real Taylor coefficients
 transform samples half of it and its columns, and the sections built
 from them, are real float64; every other symbol gives complex128
 columns.  The diagonal polydisk map Phi(z) = (phi(z_1), ..., phi(z_1))
-on H^2(D^N) reduces exactly to a one-variable matrix whose column k
-carries the multiplicity weight sqrt(C(k+N-1, N-1)); see `build_matrix`.
+on H^2(D^N) reduces exactly to the one-variable section with column k
+scaled by the multiplicity weight sqrt(C(k+N-1, N-1)):
+`build_matrix(spec, K) * multiplicity_weights(K, N)`.
 
 Sections are lower bounds of the approximation numbers that converge
 slowly for boundary-touching symbols; `kernel_lower_bound` gives lower
@@ -154,38 +155,38 @@ def _grid_power_columns(spec: Symbol, truncation: int, sink) -> None:
 
 
 def multiplicity_weights(truncation: int, dimension: int) -> np.ndarray:
-    """sqrt(C(k+N-1, N-1)) for k < K, from exact integer binomials.
+    """sqrt(C(k+N-1, N-1)) for k < K, from exact integer binomials; exactly
+    1.0 at N = 1.
 
-    Exactly 1.0 at N = 1.
+    `build_matrix(spec, K) * multiplicity_weights(K, N)` scales column k of
+    the section of C_phi and is the K x K section of C_Phi for the diagonal
+    map Phi = (phi(z_1), ..., phi(z_1)) on H^2(D^N).  With J h (z) = h(z_1)
+    and (M f)(z) = f(z, ..., z) one has C_Phi = J C_phi M.  J is an
+    isometry, and on the monomial basis of H^2(D^N) the operator M M* is
+    diagonal with eigenvalue C(n+N-1, N-1) (the number of monomials of
+    total degree n), so the singular values of C_Phi coincide with those of
+    C_phi (M M*)^(1/2).  Finite sections increase monotonically to the
+    approximation numbers.
     """
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
     return np.sqrt([float(math.comb(k + dimension - 1, dimension - 1)) for k in range(truncation)])
 
 
-def build_matrix(spec: Symbol, truncation: int, dimension: int = 1) -> np.ndarray:
-    """K x K matrix of C_Phi for Phi = (phi(z_1), ..., phi(z_1)) on H^2(D^N).
+def build_matrix(spec: Symbol, truncation: int) -> np.ndarray:
+    """K x K section of C_phi on H^2(D): column k holds the coefficients of
+    phi^k below degree K = `truncation`.
 
-    float64 when `spec.real_coefficients`, complex128 otherwise.  Column k
-    is sqrt(C(k+N-1, N-1)) times the coefficients of phi^k; at
-    N = 1 the weights are exactly 1, which is the matrix of C_phi on H^2(D).
-    With J h (z) = h(z_1) and (M f)(z) = f(z, ..., z) one has
-    C_Phi = J C_phi M.  J is an isometry, and on the monomial basis of
-    H^2(D^N) the operator M M* is diagonal with eigenvalue C(n+N-1, N-1)
-    (the number of monomials of total degree n), so the singular values of
-    C_Phi coincide with those of C_phi (M M*)^(1/2).  Finite sections
-    increase monotonically to the approximation numbers.  Scaling the
-    entries of the N = 1 matrix by `multiplicity_weights(K, N)` gives the
-    same matrix bit for bit, without extracting the columns again.
+    float64 when `spec.real_coefficients`, complex128 otherwise.  For the
+    diagonal polydisk map scale it by `multiplicity_weights`.
     """
     if not 1 <= truncation <= MAX_ORDER:
         raise ValueError(f"truncation must lie in [1, {MAX_ORDER}]")
-    weights = multiplicity_weights(truncation, dimension)
     dtype = float if spec.real_coefficients else complex
     entries = np.empty((truncation, truncation), dtype=dtype)
 
     def put(k0, cols):
-        entries[:, k0 : k0 + len(cols)] = (cols * weights[k0 : k0 + len(cols), None]).T
+        entries[:, k0 : k0 + len(cols)] = cols.T
 
     _grid_power_columns(spec, truncation, put)
     return entries

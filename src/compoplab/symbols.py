@@ -4,6 +4,15 @@ Every symbol evaluates vectorized on complex arrays, maps the open disk
 into the closed disk, and reports singular evaluations instead of
 returning NaN.  Boundary values are proxied by evaluation on the circle
 of radius 1 - 1e-8 with a cross-check radius of 1 - 1e-6.
+
+Principal powers and logarithms are plain `**` and `np.log`: the
+arguments 1 +- z of the lens map, (1 - z)/4 of the cusp map and -log g of
+the Shapiro-Taylor map (|g| <= eps < 1) have real part > 0 on the open
+disk, in float64 too, so they never meet the cut on the negative real
+axis.  The one reachable cut is the square root of the half-disk map:
+its Moebius image lands exactly on the negative real axis at some points
+with |z| = 1 - 2^-53, where `_nudge_off_cut` moves it off and warns
+(`BranchCutWarning`).
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import PowerSeries, _circle_nodes
+from .series import _circle_nodes
 
 __all__ = [
     "DEFAULT_BOUNDARY_RADIUS",
@@ -32,7 +41,6 @@ __all__ = [
     "ShapiroTaylor",
     "Compose",
     "ExplicitSeries",
-    "blaschke_contraction_ratio",
     "shipped_symbols",
 ]
 
@@ -55,20 +63,12 @@ def _nudge_off_cut(w: np.ndarray) -> np.ndarray:
     if np.any(on_cut):
         warnings.warn(
             "input on the negative real axis nudged by +1e-30i before a "
-            "principal power/log",
+            "principal square root",
             BranchCutWarning,
             stacklevel=3,
         )
         w = np.where(on_cut, w + _CUT_NUDGE, w)
     return w
-
-
-def _principal_power(w: np.ndarray, exponent: float) -> np.ndarray:
-    return _nudge_off_cut(np.asarray(w, dtype=complex)) ** exponent
-
-
-def _principal_log(w: np.ndarray) -> np.ndarray:
-    return np.log(_nudge_off_cut(np.asarray(w, dtype=complex)))
 
 
 class Symbol(abc.ABC):
@@ -175,8 +175,8 @@ class Lens(Symbol):
     def _raw(self, z):
         if self.theta == 1.0:  # by convention the exponent-one lens is the identity
             return z
-        a = _principal_power(1.0 + z, self.theta)
-        b = _principal_power(1.0 - z, self.theta)
+        a = (1.0 + z) ** self.theta
+        b = (1.0 - z) ** self.theta
         return (a - b) / (a + b)
 
     def strip_image(self, alpha):
@@ -200,7 +200,7 @@ class Cusp(Symbol):
     real_coefficients = True
 
     def _raw(self, z):
-        w = -_principal_log((1.0 - z) / 4.0)
+        w = -np.log((1.0 - z) / 4.0)
         return (w - 1.0) / (w + 1.0)
 
 
@@ -256,7 +256,7 @@ class ShapiroTaylor(Symbol):
         g = self.eps * _half_disk_map(z)
         if np.any(g == 0.0):
             raise SingularEvaluationError("inner map hit the logarithmic singularity at 0")
-        f = g * _principal_power(-np.log(g), self.theta)
+        f = g * (-np.log(g)) ** self.theta
         return np.exp(-f)
 
     def strip_image(self, alpha):
@@ -291,38 +291,37 @@ class Compose(Symbol):
 
 @dataclass(frozen=True)
 class ExplicitSeries(Symbol):
-    """Symbol given by a truncated Taylor polynomial; rejects a polynomial that
-    leaves the closed disk on a fine circle (its maximum modulus lies there)."""
+    """Symbol given by the Taylor coefficients c_0..c_K of a polynomial (a
+    non-empty 1-d sequence, cast to complex) and evaluated by Horner's rule;
+    rejects a polynomial that leaves the closed disk on a fine circle (its
+    maximum modulus lies there)."""
 
-    series: PowerSeries
+    coeffs: np.ndarray
 
     def __post_init__(self):
-        m = max(1 << 12, 16 * self.series.coeffs.size)
-        top = float(np.max(np.abs(self.series(_circle_nodes(1.0, m)))))
+        c = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
+        if c.ndim != 1 or c.size == 0:
+            raise ValueError("coeffs must be a non-empty 1-d sequence")
+        object.__setattr__(self, "coeffs", c)
+        m = max(1 << 12, 16 * c.size)
+        top = float(np.max(np.abs(self._raw(_circle_nodes(1.0, m)))))
         if top > 1.0 + 1e-9:
             raise ValueError(f"polynomial is not a self-map: max |p| = {top:.6g} > 1 on the circle")
 
     @property
     def real_coefficients(self) -> bool:
-        return bool(np.all(self.series.coeffs.imag == 0.0))
+        return bool(np.all(self.coeffs.imag == 0.0))
 
     def _raw(self, z):
-        return self.series(z)
-
-
-def blaschke_contraction_ratio(a: float, z: complex) -> float:
-    """(1 - |B(z)|)/(1 - |z|) for B = BlaschkeSquare(a); always >= (1-a^2)/4."""
-    if not 0.0 < a < 1.0:
-        raise ValueError("Blaschke parameter must lie in (0, 1)")
-    if abs(z) >= 1.0:
-        raise ValueError("point must lie inside the disk")
-    value = BlaschkeSquare(a).evaluate(z)
-    return (1.0 - abs(value)) / (1.0 - abs(z))
+        out = np.zeros_like(z)
+        for c in self.coeffs[::-1]:
+            out = out * z + c
+        return out
 
 
 def shipped_symbols() -> dict:
     """The roster of evaluable symbols exercised by the test and experiment suite."""
-    half = ExplicitSeries(PowerSeries([0.0, 0.5]))
+    half = ExplicitSeries([0.0, 0.5])
     return {
         "identity": Identity(),
         "rotation": Rotation(math.pi / math.sqrt(2.0)),

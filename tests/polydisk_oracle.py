@@ -1,9 +1,10 @@
 """Brute-force multi-index section of a polydisk composition operator.
 
-A test oracle for the diagonal reduction of `compoplab.operators.build_matrix`:
+A test oracle for the diagonal reduction
+`build_matrix(spec, K) * multiplicity_weights(K, N)` of `compoplab.operators`:
 it builds the section on every monomial z^alpha, |alpha| <= D, from the 1-d
-power columns alone, so it shares neither the reduction nor its multiplicity
-weights.
+power columns of `build_matrix` alone, so it shares neither the reduction
+nor its multiplicity weights.
 """
 
 import itertools
@@ -41,7 +42,7 @@ def multi_index_oracle(coords, degree_cap: int) -> np.ndarray:
 
     Entry (beta, alpha) is the coefficient of z^beta in
     prod_j map_j(z_{source_j})^{alpha_j}.  The 1-d power columns come from
-    `build_matrix(spec, D + 1)`, whose N = 1 weights are exactly 1.0.
+    `build_matrix(spec, D + 1)`, the section of C_phi on H^2(D).
     """
     n = len(coords)
     basis = multi_indices(n, degree_cap)

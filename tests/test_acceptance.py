@@ -53,7 +53,6 @@ from compoplab.experiments import (
 )
 from compoplab.harmonic import GraphChannel
 from compoplab.operators import build_matrix, kernel_lower_bound, multiplicity_weights
-from compoplab.series import PowerSeries
 from compoplab.spectra import (
     decay_fit,
     singular_values,
@@ -197,12 +196,12 @@ def test_criterion_05_tensor_lemma():
 
 
 def test_criterion_06_diagonal_polydisk_exactness():
-    half = ExplicitSeries(PowerSeries([0, 0.5]))
+    half = ExplicitSeries([0, 0.5])
     worst = 0.0
     for spec in (half, Lens(0.25)):
         for dim in (2, 3):
             oracle = singular_values(multi_index_oracle(((1, spec),) * dim, 8))
-            direct = singular_values(build_matrix(spec, 9, dim))
+            direct = singular_values(build_matrix(spec, 9) * multiplicity_weights(9, dim))
             worst = max(worst, float(np.max(np.abs(oracle.values[:9] - direct.values))))
             worst = max(worst, float(np.max(oracle.values[9:], initial=0.0)))
     ok = worst < 1e-8

@@ -5,7 +5,6 @@ import pytest
 
 from compoplab.carleson import CarlesonProfile, rho_profile
 from compoplab.experiments import radius_stability
-from compoplab.series import PowerSeries
 from compoplab.spectra import linear_fit
 from compoplab.symbols import (
     Cusp,
@@ -80,7 +79,7 @@ def test_level_set_dominated_by_window_net():
 
 
 def test_compactness_heuristic_ratio():
-    inside = rho_profile(ExplicitSeries(PowerSeries([0, 0.5])), samples=1 << 16)
+    inside = rho_profile(ExplicitSeries([0, 0.5]), samples=1 << 16)
     assert inside.rho_hat[-1] / inside.h_grid[-1] == 0.0
     rot = rho_profile(Rotation(0.37), samples=1 << 16)
     assert rot.rho_hat[-1] / rot.h_grid[-1] > 0.25

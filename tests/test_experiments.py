@@ -104,15 +104,18 @@ def test_cli_rejects_missing_or_malformed_arguments(argv):
     assert exc.value.code == 1
 
 
-@pytest.mark.parametrize("samples", [0, -3])
-def test_samples_below_one_is_a_configuration_error(samples, tmp_path):
+@pytest.mark.parametrize(
+    "experiment, samples",
+    # a count given to an experiment that does not sample would change nothing
+    [("blaschke-passage", 0), ("blaschke-passage", -3), ("tensor-lemma", 5)],
+    ids=["0", "-3", "tensor-lemma-5"],
+)
+def test_samples_below_one_is_a_configuration_error(experiment, samples, tmp_path):
     with pytest.raises(ValueError, match="samples"):
-        run(ExperimentConfig(experiment="blaschke-passage", out=str(tmp_path), samples=samples))
-    rc = main(
-        ["--experiment", "blaschke-passage", "--out", str(tmp_path), "--samples", str(samples)]
-    )
+        run(ExperimentConfig(experiment=experiment, out=str(tmp_path), samples=samples))
+    rc = main(["--experiment", experiment, "--out", str(tmp_path), "--samples", str(samples)])
     assert rc == 1
-    assert not (tmp_path / "blaschke-passage").exists()
+    assert not (tmp_path / experiment).exists()
 
 
 def test_rerun_reproduces_tables_byte_identically(tmp_path):

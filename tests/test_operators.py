@@ -19,7 +19,7 @@ from compoplab.operators import (
     multiplicity_weights,
     unboundedness_witness,
 )
-from compoplab.series import PowerSeries, _circle_nodes, default_radius, default_sample_count
+from compoplab.series import _circle_nodes, default_radius, default_sample_count
 from compoplab.symbols import (
     Compose,
     Cusp,
@@ -35,7 +35,7 @@ from compoplab.spectra import singular_values, tensor_merge
 from conftest import strip_lattice
 from polydisk_oracle import SizeGuardError, multi_index_oracle
 
-HALF = ExplicitSeries(PowerSeries([0, 0.5]))
+HALF = ExplicitSeries([0, 0.5])
 
 
 def _per_column_reference(spec, truncation):
@@ -99,14 +99,13 @@ def test_diagonal_polydisk_dimension_one_is_plain_matrix():
     assert np.array_equal(multiplicity_weights(1024, 2), np.sqrt(np.arange(1, 1025)))
     assert np.array_equal(multiplicity_weights(1024, 3), np.sqrt((k + 1) * (k + 2) / 2))
     a = build_matrix(Lens(0.25), 32)
-    b = build_matrix(Lens(0.25), 32, dimension=1)
-    assert np.array_equal(a, b)
+    assert np.array_equal(a * multiplicity_weights(32, 1), a)
     with pytest.raises(ValueError):
-        build_matrix(Lens(0.25), 32, dimension=0)
+        multiplicity_weights(32, 0)
 
 
 def test_diagonal_polydisk_half_map_closed_form():
-    m = build_matrix(HALF, 16, 2)
+    m = build_matrix(HALF, 16) * multiplicity_weights(16, 2)
     k = np.arange(16)
     expected = np.diag(2.0**-k * np.sqrt(k + 1.0))
     assert np.max(np.abs(m - expected)) < 1e-12
@@ -123,7 +122,7 @@ def test_multi_index_oracle_identity_map():
 
 def test_oracle_matches_diagonal_reduction_half_map():
     oracle = singular_values(multi_index_oracle(((1, HALF),) * 2, 6))
-    direct = singular_values(build_matrix(HALF, 7, 2))
+    direct = singular_values(build_matrix(HALF, 7) * multiplicity_weights(7, 2))
     assert np.max(np.abs(oracle.values[:7] - direct.values)) < 1e-10
     assert np.max(oracle.values[7:]) < 1e-10
 
@@ -132,7 +131,7 @@ def test_oracle_matches_diagonal_reduction_half_map():
 @pytest.mark.parametrize("dim", [2, 3])
 def test_oracle_equivalence_across_symbols(spec, dim):
     oracle = singular_values(multi_index_oracle(((1, spec),) * dim, 6))
-    direct = singular_values(build_matrix(spec, 7, dim))
+    direct = singular_values(build_matrix(spec, 7) * multiplicity_weights(7, dim))
     assert np.max(np.abs(oracle.values[:7] - direct.values)) < 1e-8
     assert np.max(oracle.values[7:]) < 1e-8
 
@@ -144,7 +143,7 @@ def test_oracle_cross_validates_tensor_merge():
     # values agree.
     lens = Lens(0.2)
     oracle = singular_values(multi_index_oracle(((1, lens), (1, lens), (3, HALF)), 6))
-    factor_a = singular_values(build_matrix(lens, 7, 2))
+    factor_a = singular_values(build_matrix(lens, 7) * multiplicity_weights(7, 2))
     factor_b = singular_values(build_matrix(HALF, 7))
     merged = tensor_merge([factor_a, factor_b], len(oracle))
     k = min(len(merged), len(oracle))
@@ -193,7 +192,7 @@ class _HighPeak(Symbol):
         (Lens(0.5), 1),
         (Lens(0.5), 2),
         (Rotation(0.3), 256),  # complex coefficients: the full circle
-        (ExplicitSeries(PowerSeries([0.1j, 0.5, 0.2 - 0.1j])), 300),
+        (ExplicitSeries([0.1j, 0.5, 0.2 - 0.1j]), 300),
     ],
 )
 def test_blocked_columns_match_the_per_column_loop(spec, truncation):
@@ -226,8 +225,8 @@ def test_sections_are_real_exactly_for_real_coefficients(roster):
         assert build_matrix(spec, 64).dtype == want, name
     # the registry's sections are real, so their SVDs run LAPACK's real dgesdd
     for spec in (Cusp(), Lens(0.25), ShapiroTaylor(2.0)):
-        assert build_matrix(spec, 64, 2).dtype == np.float64
-    assert build_matrix(ExplicitSeries(PowerSeries([0.25, 0.5j])), 64).dtype == np.complex128
+        assert (build_matrix(spec, 64) * multiplicity_weights(64, 2)).dtype == np.float64
+    assert build_matrix(ExplicitSeries([0.25, 0.5j]), 64).dtype == np.complex128
 
 
 class _WideLine(Symbol):
@@ -350,7 +349,7 @@ def test_kernel_ratio_rejects_near_boundary():
             kernel_ratio(Identity(), 2, r)
 
 
-DILATION = ExplicitSeries(PowerSeries([0, 0.8]))
+DILATION = ExplicitSeries([0, 0.8])
 DILATION_EXACT = 0.8 ** np.arange(200)  # a_n = 0.8^(n-1): C_phi z^k = 0.8^k z^k
 
 
@@ -387,7 +386,7 @@ def test_kernel_lower_bound_lens_norm_and_second_value():
 # polynomials of degree <= 3 with coefficient l1 norm at most 0.8: no
 # boundary contact, so the K = 256 section has converged to a_n
 def _polynomial_of_l1_norm(coeffs, l1):
-    return ExplicitSeries(PowerSeries(np.array(coeffs) * (l1 / sum(map(abs, coeffs)))))
+    return ExplicitSeries(np.array(coeffs) * (l1 / sum(map(abs, coeffs))))
 
 
 _COEFF = st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
@@ -493,15 +492,6 @@ def test_norm_bounded_by_classical_envelope(roster):
         assert top <= bound + 1e-6, name
 
 
-def test_reweight_matches_direct_build():
-    # the N-sweeps scale the N = 1 entries; that must be the direct build bit for bit
-    for spec in (Cusp(), Lens(0.25)):
-        base = build_matrix(spec, 48)
-        for dim in (2, 3, 5):
-            direct = build_matrix(spec, 48, dim)
-            assert np.array_equal(direct, base * multiplicity_weights(48, dim))
-
-
 def test_build_rejects_non_self_map():
     class Doubling(Symbol):
         def _raw(self, z):
@@ -513,8 +503,8 @@ def test_build_rejects_non_self_map():
 
 def test_explicit_series_rejects_non_self_map():
     with pytest.raises(ValueError, match="not a self-map"):
-        ExplicitSeries(PowerSeries([1.2]))
+        ExplicitSeries([1.2])
     with pytest.raises(ValueError, match="not a self-map"):
-        ExplicitSeries(PowerSeries([0.5, 0.6]))
+        ExplicitSeries([0.5, 0.6])
     # |0.5 + 0.5 z| reaches 1 only at z = 1
-    assert ExplicitSeries(PowerSeries([0.5, 0.5])).evaluate(0.0) == 0.5
+    assert ExplicitSeries([0.5, 0.5]).evaluate(0.0) == 0.5

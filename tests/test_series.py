@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compoplab.operators import build_matrix
-from compoplab.series import PowerSeries, default_radius
+from compoplab.series import default_radius
 from compoplab.symbols import (
     BlaschkeSquare,
     ExplicitSeries,
@@ -24,7 +24,7 @@ from compoplab.symbols import (
 
 def _power(coeffs, k, order):
     """Coefficients 0..order of p^k for the polynomial p with these coefficients."""
-    spec = ExplicitSeries(PowerSeries(coeffs))
+    spec = ExplicitSeries(coeffs)
     return build_matrix(spec, max(order, k) + 1)[: order + 1, k]
 
 
@@ -165,5 +165,8 @@ def test_shift_contracts_hardy_norm(rng):
 
 
 def test_power_series_validation():
-    with pytest.raises(ValueError):
-        PowerSeries(np.ones((2, 2)))
+    for bad in (np.ones((2, 2)), []):
+        with pytest.raises(ValueError, match="non-empty 1-d"):
+            ExplicitSeries(bad)
+    spec = ExplicitSeries(0.5)
+    assert spec.coeffs.shape == (1,) and spec.coeffs.dtype == np.complex128

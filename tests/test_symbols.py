@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import compoplab as C
 from compoplab.experiments import blaschke_passage, contraction_floor
 from compoplab.spectra import linear_fit
-from compoplab.series import PowerSeries
 from compoplab.symbols import (
     BlaschkeSquare,
     Compose,
@@ -20,7 +19,6 @@ from compoplab.symbols import (
     Rotation,
     Scalar,
     ShapiroTaylor,
-    blaschke_contraction_ratio,
 )
 
 
@@ -32,7 +30,7 @@ def test_declared_real_coefficients_mean_conjugate_symmetry(roster):
     for name in declared:
         want = np.conj(roster[name].evaluate(z))
         assert np.all(np.abs(roster[name].evaluate(np.conj(z)) - want) <= 1e-15 * np.abs(want)), name
-    assert not ExplicitSeries(PowerSeries([0.25, 0.5j])).real_coefficients
+    assert not ExplicitSeries([0.25, 0.5j]).real_coefficients
     assert not Scalar(0.5j).real_coefficients
     assert not Compose(Lens(0.5), Rotation(0.3)).real_coefficients
 
@@ -110,10 +108,11 @@ def test_lens_semigroup_composition(theta, theta_prime, radius, angle):
 
 
 def test_blaschke_contraction_ratio_values():
+    # (1 - |B(z)|)/(1 - |z|) for B = BlaschkeSquare(a), a = 0.5: B(0) = a^2, B(a) = 0
     a = 0.5
-    assert blaschke_contraction_ratio(a, 0.0) == pytest.approx(1 - a * a, abs=1e-12)
-    assert blaschke_contraction_ratio(a, 0.9) >= (1 - a * a) / 4.0
-    assert blaschke_contraction_ratio(a, a) == pytest.approx(1.0 / (1.0 - a), abs=1e-12)
+    assert contraction_floor([0.0])[0] == pytest.approx(1 - a * a, abs=1e-12)
+    assert contraction_floor([0.9])[2]
+    assert contraction_floor([a])[0] == pytest.approx(1.0 / (1.0 - a), abs=1e-12)
 
 
 def test_contraction_floor_on_random_points(rng):
@@ -186,10 +185,12 @@ def test_default_boundary_radius_matches_contract():
 
 
 def test_branch_cut_inputs_are_nudged_and_flagged():
-    from compoplab.symbols import BranchCutWarning, _principal_log, _principal_power
-
-    with pytest.warns(BranchCutWarning):
-        val = _principal_power(np.array([-1.0 + 0.0j]), 0.5)
-    assert val.imag[0] > 0  # nudged onto the upper side of the cut
-    with pytest.warns(BranchCutWarning):
-        _principal_log(np.array([-2.0 + 0.0j]))
+    # |z0| = 1 - 2^-53: the Moebius image m of the half-disk map lands exactly
+    # on the negative real axis; unnudged, the square root of m takes the
+    # lower side of the cut and |phi| = 1.92 at theta = 2
+    z0 = complex(float.fromhex("0x1.ff085d2deaa6ep-1"), float.fromhex("0x1.f75422e25c72bp-5"))
+    assert abs(z0) < 1.0
+    for theta in (1.5, 2.0, 3.0):
+        with pytest.warns(C.symbols.BranchCutWarning):
+            value = ShapiroTaylor(theta).evaluate(z0)
+        assert abs(value) <= 1.0, theta
