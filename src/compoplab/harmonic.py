@@ -172,10 +172,43 @@ def _iteration_rng(seed: int, iteration: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _unit_steps(seed: int, iteration: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of the n angles Philox draws for (seed, iteration)."""
-    angles = _iteration_rng(seed, iteration).uniform(0.0, TWO_PI, n)
-    return np.cos(angles), np.sin(angles)
+def _unit_steps(seed: int, iteration: int, out: np.ndarray) -> None:
+    """Write into out[0] and out[1] the cos and sin of the out.shape[1]
+    angles Philox draws for (seed, iteration).  The angles are
+    random() * 2pi, the bits of uniform(0, 2pi), which adds 0 to that
+    product."""
+    angles, sin = out
+    _iteration_rng(seed, iteration).random(out=angles)
+    angles *= TWO_PI
+    np.sin(angles, out=sin)
+    np.cos(angles, out=angles)
+
+
+def _absorb_and_compact(region, p: np.ndarray, d: np.ndarray, n: int):
+    """Absorb the walks p[:n] closer than _EPS_ABSORB to the boundary, one
+    _DISTANCE_BLOCK at a time.  The survivors' distances and positions move
+    to the front of d and p, in order.  Returns the survivor count and the
+    absorbed positions, in order, as a list of per-block arrays."""
+    hits = []
+    m = 0
+    for start in range(0, n, _DISTANCE_BLOCK):
+        block = p[start : min(start + _DISTANCE_BLOCK, n)]
+        dist = region.distance_vector(block)
+        absorb = dist < _EPS_ABSORB
+        # dist may be a view of the block, so it moves before the positions
+        if np.any(absorb):
+            hits.append(block[absorb])
+            keep = ~absorb
+            end = m + block.size - hits[-1].size
+            d[m:end] = dist[keep]
+            p[m:end] = block[keep]
+        else:
+            end = m + block.size
+            d[m:end] = dist
+            if m != start:
+                p[m:end] = block
+        m = end
+    return m, hits
 
 
 def wos_harmonic_measures(
@@ -192,11 +225,23 @@ def wos_harmonic_measures(
     point.  Walks still active after _STEP_CAP steps are stopped and
     counted apart.  Deterministic given the seed: the angle used by
     trajectory i at step k is the i-th Philox uniform keyed by (seed, k),
-    i counting the surviving order.  A Philox draw of n values begins with
-    the draw of any m <= n, so one worker thread draws the angles (and
-    their cos and sin) for the n walks active at step k while the calling
-    thread applies step k - 1 and computes distances and absorption; the
-    m survivors of step k use the first m.
+    i counting the surviving order.
+
+    The region provides base_point; distance_vector(p), a certified lower
+    bound on the distance of each point of p to the boundary, which may be
+    a view of p; far_mask(p), the walks to stop and score in closed form;
+    and far_scores(p, targets), one array of scores per target for them.
+
+    The walks live in fixed buffers of samples entries, 56 bytes per walk:
+    positions (complex128), distances (float64) and two draw buffers of
+    cos and sin (2 x 2 float64).  A Philox draw of n values begins with the
+    draw of any m <= n, so one worker thread fills one draw buffer for the
+    n walks active at step k while the calling thread applies step k - 1
+    from the other and absorbs; the m survivors of step k use the first m.
+    Absorption and compaction run one _DISTANCE_BLOCK at a time, and the
+    hits of a step are scored together.  The far field is handled once per
+    step on the whole ensemble; only when some walk is far does it copy
+    the survivors.
     """
     if samples < 1:
         raise ValueError("need at least one trajectory")
@@ -204,37 +249,41 @@ def wos_harmonic_measures(
     n_far = 0
     n_capped = 0
     iteration = 0
+    n = samples
     p = np.full(samples, complex(region.base_point), dtype=complex)
+    d = np.empty(samples)
+    # draws[k % 2] holds the cos (row 0) and sin (row 1) of step k
+    draws = np.empty((2, 2, samples))
     with ThreadPoolExecutor(max_workers=1) as pool:
-        steps = pool.submit(_unit_steps, seed, iteration, p.size)
+        steps = pool.submit(_unit_steps, seed, iteration, draws[0])
         while True:
-            far = region.far_mask(p)
+            far = region.far_mask(p[:n])
             if np.any(far):
-                far_pts = p[far]
+                far_pts = p[:n][far]
                 for i, sc in enumerate(region.far_scores(far_pts, targets)):
                     scores[i] += float(sc.sum())
                 n_far += far_pts.size
-                p = p[~far]
-            if p.size:
-                d = region.distance_vector(p)
-                absorb = d < _EPS_ABSORB
-                if np.any(absorb):
-                    hit = p[absorb]
-                    for i, pred in enumerate(targets):
-                        scores[i] += float(np.count_nonzero(pred(hit)))
-                    p = p[~absorb]
-                    d = d[~absorb]
-            cos_a, sin_a = steps.result()
+                p[: n - far_pts.size] = p[:n][~far]
+                n -= far_pts.size
+            n, hits = _absorb_and_compact(region, p, d, n)
+            if hits:
+                hit = np.concatenate(hits)
+                for i, pred in enumerate(targets):
+                    scores[i] += float(np.count_nonzero(pred(hit)))
+            steps.result()
+            cos_a, sin_a = draws[iteration % 2, :, :n]
             iteration += 1
-            if p.size == 0:
+            if n == 0:
                 break
             if iteration >= _STEP_CAP:
-                n_capped = p.size
+                n_capped = n
                 break
             # the next step's draw runs while this one is applied
-            steps = pool.submit(_unit_steps, seed, iteration, p.size)
-            p.real += d * cos_a[: p.size]
-            p.imag += d * sin_a[: p.size]
+            steps = pool.submit(_unit_steps, seed, iteration, draws[iteration % 2, :, :n])
+            np.multiply(d[:n], cos_a, out=cos_a)
+            np.multiply(d[:n], sin_a, out=sin_a)
+            p[:n].real += cos_a
+            p[:n].imag += sin_a
 
     completed = samples - n_capped
     if completed == 0:

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import abc
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -48,6 +50,7 @@ DEFAULT_BOUNDARY_RADIUS = 1.0 - 1e-8
 CROSSCHECK_BOUNDARY_RADIUS = 1.0 - 1e-6
 
 _CUT_NUDGE = 1e-30j
+_PACKAGE_DIR = os.path.dirname(__file__)
 
 
 class SingularEvaluationError(ArithmeticError):
@@ -58,6 +61,19 @@ class BranchCutWarning(UserWarning):
     """An input sat exactly on a principal branch cut and was nudged off it."""
 
 
+def _caller_stacklevel() -> int:
+    """The stacklevel at which a warning raised by the caller of this
+    function names the first frame outside the package.  No fixed level
+    does: the depth below the public call differs between symbols and
+    under Compose."""
+    frame = sys._getframe(1)
+    level = 1
+    while frame is not None and os.path.dirname(frame.f_code.co_filename) == _PACKAGE_DIR:
+        frame = frame.f_back
+        level += 1
+    return level
+
+
 def _nudge_off_cut(w: np.ndarray) -> np.ndarray:
     on_cut = (w.imag == 0.0) & (w.real < 0.0)
     if np.any(on_cut):
@@ -65,7 +81,7 @@ def _nudge_off_cut(w: np.ndarray) -> np.ndarray:
             "input on the negative real axis nudged by +1e-30i before a "
             "principal square root",
             BranchCutWarning,
-            stacklevel=3,
+            stacklevel=_caller_stacklevel(),
         )
         w = np.where(on_cut, w + _CUT_NUDGE, w)
     return w

@@ -83,7 +83,11 @@ SHARED_MEMBER_READS = {
     **{
         (cls, name): "wos_harmonic_measures"
         for cls in ("DiskRegion", "HalfPlaneRegion", "GraphChannel")
-        for name in ("distance_vector", "far_mask", "far_scores")
+        for name in ("far_mask", "far_scores")
+    },
+    **{
+        (cls, "distance_vector"): "_absorb_and_compact"
+        for cls in ("DiskRegion", "HalfPlaneRegion", "GraphChannel")
     },
     **{(cls, "strip_image"): "kernel_lower_bound" for cls in ("Symbol", "Lens", "ShapiroTaylor")},
     **{

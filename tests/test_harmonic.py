@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from compoplab.experiments import harness_pair, spiral_ensemble, tail_slope
 from compoplab.harmonic import (
     _DISTANCE_BLOCK,
     _iteration_rng,
+    _unit_steps,
     FOUR_PI,
     TWO_PI,
     DiskRegion,
@@ -539,6 +541,30 @@ def test_philox_draw_begins_with_every_shorter_draw(n):
     for m in sorted({0, 1, n // 2, n}):
         prefix = _iteration_rng(7, 3).uniform(0.0, TWO_PI, m)
         assert np.array_equal(full[:m].view(np.uint8), prefix.view(np.uint8))
+        # the buffered draw writes the cos and sin of the same angles into
+        # the first m columns of a wider buffer, as the engine's are, and
+        # leaves the rest alone
+        draws = np.full((2, n), np.nan)
+        _unit_steps(7, 3, draws[:, :m])
+        want = np.stack([np.cos(prefix), np.sin(prefix)])
+        assert np.array_equal(draws[:, :m].view(np.uint8), want.view(np.uint8))
+        assert np.all(np.isnan(draws[:, m:]))
+
+
+def test_walk_state_is_fixed_buffers(channel):
+    # positions, distances and two cos/sin draw buffers take 56 bytes per
+    # walk; a copy of the positions to compact them would add 16
+    samples = 4 * 10**5
+    # one-time set-up of the first call (about 2 bytes per walk) is not
+    # walk state
+    wos_harmonic_measures(channel, [_tail], samples=1000, seed=5)
+    tracemalloc.start()
+    try:
+        wos_harmonic_measures(channel, [_tail], samples=samples, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / samples <= 64.0, peak / samples
 
 
 @pytest.mark.parametrize(

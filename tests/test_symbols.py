@@ -194,3 +194,13 @@ def test_branch_cut_inputs_are_nudged_and_flagged():
         with pytest.warns(C.symbols.BranchCutWarning):
             value = ShapiroTaylor(theta).evaluate(z0)
         assert abs(value) <= 1.0, theta
+
+
+def test_branch_cut_warning_points_at_the_caller():
+    # the warning names the line that called evaluate, not a frame inside
+    # the package, also when the nudging symbol sits inside a Compose
+    z0 = complex(float.fromhex("0x1.ff085d2deaa6ep-1"), float.fromhex("0x1.f75422e25c72bp-5"))
+    for symbol in (ShapiroTaylor(2.0), Compose(ShapiroTaylor(2.0), Identity())):
+        with pytest.warns(C.symbols.BranchCutWarning) as caught:
+            symbol.evaluate(z0)
+        assert [w.filename for w in caught] == [__file__], type(symbol).__name__
