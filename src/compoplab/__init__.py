@@ -1,7 +1,7 @@
 """compoplab: numerics for composition operators on disk and polydisk Hardy spaces.
 
-Truncated-series arithmetic, disk self-maps (lens, cusp, Blaschke squares,
-Shapiro-Taylor), boundary pullback measures, operator matrices and their
+Disk self-maps (lens, cusp, Blaschke squares, Shapiro-Taylor, polynomials),
+boundary pullback measures, operator matrices sampled on one circle and their
 singular values, tensor s-number calculus, and a walk-on-spheres harmonic
 measure lab for the spiral channel region.
 """
@@ -14,10 +14,7 @@ from .symbols import (
     Compose,
     Cusp,
     ExplicitSeries,
-    Identity,
     Lens,
-    Rotation,
-    Scalar,
     ShapiroTaylor,
     SingularEvaluationError,
     Symbol,

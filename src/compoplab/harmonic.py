@@ -33,8 +33,9 @@ FOUR_PI = 4.0 * math.pi
 # still active after _STEP_CAP steps is stopped and left out of the estimate
 _EPS_ABSORB = 1e-6
 _STEP_CAP = 10**6
-# points per pass of GraphChannel.distance_vector: its ~30 temporaries of
-# this length stay in cache instead of streaming whole-ensemble arrays
+# walks per block of _absorb_and_compact: the ~30 temporaries of
+# GraphChannel.distance_vector on one block stay in cache instead of
+# streaming whole-ensemble arrays
 _DISTANCE_BLOCK = 8192
 
 
@@ -128,28 +129,24 @@ class GraphChannel:
         [lo, hi]; where cap = lo the quotient is 0/0, and t = lo.
         The radius is max(lo, min(t, h(t))), three evaluations of h.
         """
-        out = np.empty(p.shape)
-        for start in range(0, p.size, _DISTANCE_BLOCK):
-            block = p[start : start + _DISTANCE_BLOCK]
-            x, y = block.real, block.imag
-            g = self.g(x)
-            gap = np.minimum(y - g, g + FOUR_PI - y)
+        x, y = p.real, p.imag
+        g = self.g(x)
+        gap = np.minimum(y - g, g + FOUR_PI - y)
 
-            def h(delta):
-                slope = self.g_slope_bound(x - delta, x + delta)
-                return gap / np.sqrt(1.0 + slope * slope)
+        def h(delta):
+            slope = self.g_slope_bound(x - delta, x + delta)
+            return gap / np.sqrt(1.0 + slope * slope)
 
-            cap = np.minimum(x * 0.5, gap)
-            h_cap = h(cap)
-            lo = np.minimum(cap, h_cap)
-            h_lo = h(lo)
-            width = cap - lo
-            with np.errstate(invalid="ignore"):
-                t = lo + (h_lo - lo) * width / (width - (h_cap - h_lo))
-            # fmax drops the 0/0 of cap = lo
-            t = np.minimum(np.fmax(t, lo), np.minimum(cap, h_lo))
-            out[start : start + _DISTANCE_BLOCK] = np.maximum(lo, np.minimum(t, h(t)))
-        return out
+        cap = np.minimum(x * 0.5, gap)
+        h_cap = h(cap)
+        lo = np.minimum(cap, h_cap)
+        h_lo = h(lo)
+        width = cap - lo
+        with np.errstate(invalid="ignore"):
+            t = lo + (h_lo - lo) * width / (width - (h_cap - h_lo))
+        # fmax drops the 0/0 of cap = lo
+        t = np.minimum(np.fmax(t, lo), np.minimum(cap, h_lo))
+        return np.maximum(lo, np.minimum(t, h(t)))
 
     def far_mask(self, p: np.ndarray) -> np.ndarray:
         return p.real > self.far_x

@@ -3,25 +3,23 @@
 Every symbol evaluates vectorized on complex arrays, maps the open disk
 into the closed disk, and reports singular evaluations instead of
 returning NaN.  Boundary values are proxied by evaluation on the circle
-of radius 1 - 1e-8 with a cross-check radius of 1 - 1e-6.
+of radius 1 - 1e-8 with a cross-check radius of 1 - 1e-6.  Maps that are
+polynomials (the identity, rotations, constants) are `ExplicitSeries`.
 
 Principal powers and logarithms are plain `**` and `np.log`: the
 arguments 1 +- z of the lens map, (1 - z)/4 of the cusp map and -log g of
 the Shapiro-Taylor map (|g| <= eps < 1) have real part > 0 on the open
 disk, in float64 too, so they never meet the cut on the negative real
-axis.  The one reachable cut is the square root of the half-disk map:
-its Moebius image lands exactly on the negative real axis at some points
-with |z| = 1 - 2^-53, where `_nudge_off_cut` moves it off and warns
-(`BranchCutWarning`).
+axis.  The one reachable cut is the square root of the half-disk map,
+whose argument lies in the closed upper half-plane by construction; at
+some points with |z| = 1 - 2^-53 it lands exactly on the negative real
+axis, so `_upper_sqrt` takes the root as the limit from above.
 """
 
 from __future__ import annotations
 
 import abc
 import math
-import os
-import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,11 +30,7 @@ __all__ = [
     "DEFAULT_BOUNDARY_RADIUS",
     "CROSSCHECK_BOUNDARY_RADIUS",
     "SingularEvaluationError",
-    "BranchCutWarning",
     "Symbol",
-    "Identity",
-    "Scalar",
-    "Rotation",
     "Lens",
     "Cusp",
     "BlaschkeSquare",
@@ -49,42 +43,15 @@ __all__ = [
 DEFAULT_BOUNDARY_RADIUS = 1.0 - 1e-8
 CROSSCHECK_BOUNDARY_RADIUS = 1.0 - 1e-6
 
-_CUT_NUDGE = 1e-30j
-_PACKAGE_DIR = os.path.dirname(__file__)
-
-
 class SingularEvaluationError(ArithmeticError):
     """A symbol was evaluated at or too close to one of its singularities."""
 
 
-class BranchCutWarning(UserWarning):
-    """An input sat exactly on a principal branch cut and was nudged off it."""
-
-
-def _caller_stacklevel() -> int:
-    """The stacklevel at which a warning raised by the caller of this
-    function names the first frame outside the package.  No fixed level
-    does: the depth below the public call differs between symbols and
-    under Compose."""
-    frame = sys._getframe(1)
-    level = 1
-    while frame is not None and os.path.dirname(frame.f_code.co_filename) == _PACKAGE_DIR:
-        frame = frame.f_back
-        level += 1
-    return level
-
-
-def _nudge_off_cut(w: np.ndarray) -> np.ndarray:
-    on_cut = (w.imag == 0.0) & (w.real < 0.0)
-    if np.any(on_cut):
-        warnings.warn(
-            "input on the negative real axis nudged by +1e-30i before a "
-            "principal square root",
-            BranchCutWarning,
-            stacklevel=_caller_stacklevel(),
-        )
-        w = np.where(on_cut, w + _CUT_NUDGE, w)
-    return w
+def _upper_sqrt(w: np.ndarray) -> np.ndarray:
+    """Square root of a point of the closed upper half-plane, taken from
+    above on the negative real axis (where Im w may read -0.0); elsewhere
+    the principal root, bit for bit."""
+    return np.sqrt(w.real + 1j * np.abs(w.imag))
 
 
 class Symbol(abc.ABC):
@@ -115,8 +82,6 @@ class Symbol(abc.ABC):
             return complex(out)
         return out
 
-    __call__ = evaluate
-
     def boundary(self, t, r_b: float = DEFAULT_BOUNDARY_RADIUS):
         """Radial-limit proxy: evaluate at r_b * e^{it}."""
         if not 0.0 < r_b < 1.0:
@@ -133,40 +98,6 @@ class Symbol(abc.ABC):
         away from boundary contact; symbols with contact override it.
         """
         return 2.0 * np.arctanh(self.evaluate(np.tanh(np.asarray(alpha, dtype=complex) / 2.0)))
-
-
-@dataclass(frozen=True)
-class Identity(Symbol):
-    real_coefficients = True
-
-    def _raw(self, z):
-        return z
-
-
-@dataclass(frozen=True)
-class Scalar(Symbol):
-    """Constant map z -> c with |c| <= 1; induces a rank-one operator."""
-
-    c: complex
-
-    def __post_init__(self):
-        if abs(self.c) > 1.0 + 1e-12:
-            raise ValueError(f"constant must satisfy |c| <= 1, got |c|={abs(self.c)}")
-
-    @property
-    def real_coefficients(self) -> bool:
-        return complex(self.c).imag == 0.0
-
-    def _raw(self, z):
-        return np.full_like(z, complex(self.c))
-
-
-@dataclass(frozen=True)
-class Rotation(Symbol):
-    alpha: float
-
-    def _raw(self, z):
-        return np.exp(1j * self.alpha) * z
 
 
 @dataclass(frozen=True)
@@ -239,11 +170,11 @@ def _half_disk_map(z: np.ndarray) -> np.ndarray:
     """Conformal map of the disk onto {Re > 0, |.| < 1}, sending 1 to 0.
 
     Built from the Moebius map m(z) = (z-i)/(iz-1) (disk onto the upper
-    half-plane), a principal square root (onto the first quadrant), and
-    the inverse Moebius map.
+    half-plane), its square root (onto the first quadrant), and the
+    inverse Moebius map.
     """
     m = (z - 1j) / (1j * z - 1.0)
-    s = np.sqrt(_nudge_off_cut(m))
+    s = _upper_sqrt(m)
     return (s - 1j) / (-1j * s + 1.0)
 
 
@@ -280,12 +211,14 @@ class ShapiroTaylor(Symbol):
 
         With z = tanh(alpha/2): 1 - z = 2/(1 + e^alpha), the Moebius step
         of the half-disk map is -m = tanh(alpha/2 - i pi/4), and the map
-        itself is (1-i)(1-z) / ((1-iz)(1+sqrt(-m))^2).  Then
-        1 - phi = -expm1(-f) and beta = log((1+phi)/(1-phi)).
+        itself is (1-i)(1-z) / ((1-iz)(1+sqrt(-m))^2) with
+        sqrt(-m) = -i sqrt(m), the root of m taken from above as in
+        `evaluate`, so the closed line Im alpha = pi/2 is a limit from
+        inside.  Then 1 - phi = -expm1(-f) and beta = log((1+phi)/(1-phi)).
         """
         alpha = np.asarray(alpha, dtype=complex)
         z = np.tanh(alpha / 2.0)
-        root = np.sqrt(np.tanh(alpha / 2.0 - 0.25j * math.pi))
+        root = -1j * _upper_sqrt(-np.tanh(alpha / 2.0 - 0.25j * math.pi))
         g = self.eps * (1.0 - 1.0j) * (2.0 / (1.0 + np.exp(alpha)))
         g = g / ((1.0 - 1.0j * z) * (1.0 + root) ** 2)
         gap = -np.expm1(-g * (-np.log(g)) ** self.theta)
@@ -339,9 +272,9 @@ def shipped_symbols() -> dict:
     """The roster of evaluable symbols exercised by the test and experiment suite."""
     half = ExplicitSeries([0.0, 0.5])
     return {
-        "identity": Identity(),
-        "rotation": Rotation(math.pi / math.sqrt(2.0)),
-        "scalar-half": Scalar(0.5),
+        "identity": ExplicitSeries([0.0, 1.0]),
+        "rotation": ExplicitSeries([0.0, np.exp(1j * math.pi / math.sqrt(2.0))]),
+        "scalar-half": ExplicitSeries([0.5]),
         "half-map": half,
         "lens-half": Lens(0.5),
         "lens-quarter": Lens(0.25),

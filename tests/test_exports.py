@@ -92,7 +92,7 @@ SHARED_MEMBER_READS = {
     **{(cls, "strip_image"): "kernel_lower_bound" for cls in ("Symbol", "Lens", "ShapiroTaylor")},
     **{
         (cls, "real_coefficients"): "_grid_power_columns"
-        for cls in ("Symbol", "Scalar", "Compose", "ExplicitSeries")
+        for cls in ("Symbol", "Compose", "ExplicitSeries")
     },
 }
 

@@ -24,9 +24,7 @@ from compoplab.symbols import (
     Compose,
     Cusp,
     ExplicitSeries,
-    Identity,
     Lens,
-    Rotation,
     ShapiroTaylor,
     SingularEvaluationError,
     Symbol,
@@ -36,6 +34,8 @@ from conftest import strip_lattice
 from polydisk_oracle import SizeGuardError, multi_index_oracle
 
 HALF = ExplicitSeries([0, 0.5])
+IDENTITY = ExplicitSeries([0, 1])
+ROTATION = ExplicitSeries([0, np.exp(0.3j)])
 
 
 def _per_column_reference(spec, truncation):
@@ -74,7 +74,7 @@ class _FullCircle(Symbol):
 
 
 def test_identity_matrix():
-    m = build_matrix(Identity(), 16)
+    m = build_matrix(IDENTITY, 16)
     assert np.max(np.abs(m - np.eye(16))) < 1e-12
 
 
@@ -86,7 +86,7 @@ def test_half_map_matrix_is_geometric_diagonal():
 
 def test_rotation_matrix_is_unitary_diagonal():
     alpha = 0.73
-    m = build_matrix(Rotation(alpha), 16)
+    m = build_matrix(ExplicitSeries([0, np.exp(1j * alpha)]), 16)
     expected = np.diag(np.exp(1j * alpha * np.arange(16)))
     assert np.max(np.abs(m - expected)) < 1e-12
 
@@ -116,7 +116,7 @@ def test_diagonal_polydisk_half_map_closed_form():
 
 
 def test_multi_index_oracle_identity_map():
-    m = multi_index_oracle(((1, Identity()), (2, Identity())), 3)
+    m = multi_index_oracle(((1, IDENTITY), (2, IDENTITY)), 3)
     assert np.max(np.abs(m - np.eye(m.shape[0]))) < 1e-10
 
 
@@ -153,7 +153,7 @@ def test_oracle_cross_validates_tensor_merge():
 
 def test_oracle_size_guard():
     with pytest.raises(SizeGuardError):
-        multi_index_oracle(((1, Identity()),) * 3, 26)
+        multi_index_oracle(((1, IDENTITY),) * 3, 26)
 
 
 def test_hs_partial_sum_half_map():
@@ -168,7 +168,7 @@ def test_hs_partial_sum_half_map():
 
 
 def test_hs_trend_rotation_diverges():
-    assert hs_norm_sq(Rotation(0.3), 256).trend == "diverging"
+    assert hs_norm_sq(ROTATION, 256).trend == "diverging"
     with pytest.raises(ValueError):
         hs_norm_sq(HALF, 32)
 
@@ -191,7 +191,7 @@ class _HighPeak(Symbol):
         (Cusp(), 1001),  # not a multiple of the block rows
         (Lens(0.5), 1),
         (Lens(0.5), 2),
-        (Rotation(0.3), 256),  # complex coefficients: the full circle
+        (ROTATION, 256),  # complex coefficients: the full circle
         (ExplicitSeries([0.1j, 0.5, 0.2 - 0.1j]), 300),
     ],
 )
@@ -274,7 +274,7 @@ def _record_blocks(monkeypatch, cores):
         # blocks of 8 rows, the last one short
         (Cusp(), 1001, 3, (*range(0, 1001, 8), 1001)),
         (Lens(0.5), 64, 4, (0, 64)),  # the powers fill one block: one thread
-        (Rotation(0.3), 1001, 3, (*range(0, 1001, 8), 1001)),  # the full-circle transform
+        (ROTATION, 1001, 3, (*range(0, 1001, 8), 1001)),  # the full-circle transform
     ],
 )
 def test_core_count_does_not_change_the_columns(monkeypatch, spec, truncation, cores, bounds):
@@ -340,13 +340,13 @@ def test_kernel_ratio_at_origin():
 def test_kernel_ratio_identity_map_closed_form():
     # Phi(z) = (z_1, z_1): sqrt((1 - r^2) / (1 - r^2)^2) = (1 - r^2)^(-1/2)
     r = 0.9
-    assert kernel_ratio(Identity(), 2, r) == pytest.approx((1 - r * r) ** -0.5, rel=1e-12)
+    assert kernel_ratio(IDENTITY, 2, r) == pytest.approx((1 - r * r) ** -0.5, rel=1e-12)
 
 
 def test_kernel_ratio_rejects_near_boundary():
     for r in (1 - 1e-13, 1.0):
         with pytest.raises(ValueError):
-            kernel_ratio(Identity(), 2, r)
+            kernel_ratio(IDENTITY, 2, r)
 
 
 DILATION = ExplicitSeries([0, 0.8])

@@ -27,7 +27,7 @@ from compoplab.spectra import (
     upper_bound_plain,
     upper_bound_weighted,
 )
-from compoplab.symbols import Lens, Scalar
+from compoplab.symbols import ExplicitSeries, Lens
 from conftest import integer_pair_count, supermultiplicativity_gaps
 
 
@@ -40,7 +40,7 @@ def test_singular_values_of_geometric_diagonal():
 
 
 def test_singular_values_rank_one_constant_symbol():
-    s = singular_values(build_matrix(Scalar(0.5), 64))
+    s = singular_values(build_matrix(ExplicitSeries([0.5]), 64))
     # the norm of a rank-one composition with constant value c is the
     # kernel norm (1-|c|^2)^(-1/2)
     assert s.a(1) == pytest.approx(2.0 / math.sqrt(3.0), abs=1e-12)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,16 +9,14 @@ from hypothesis import strategies as st
 
 import compoplab as C
 from compoplab.experiments import blaschke_passage, contraction_floor
+from compoplab.series import default_radius, default_sample_count
 from compoplab.spectra import linear_fit
 from compoplab.symbols import (
     BlaschkeSquare,
     Compose,
     Cusp,
     ExplicitSeries,
-    Identity,
     Lens,
-    Rotation,
-    Scalar,
     ShapiroTaylor,
 )
 
@@ -31,8 +30,8 @@ def test_declared_real_coefficients_mean_conjugate_symmetry(roster):
         want = np.conj(roster[name].evaluate(z))
         assert np.all(np.abs(roster[name].evaluate(np.conj(z)) - want) <= 1e-15 * np.abs(want)), name
     assert not ExplicitSeries([0.25, 0.5j]).real_coefficients
-    assert not Scalar(0.5j).real_coefficients
-    assert not Compose(Lens(0.5), Rotation(0.3)).real_coefficients
+    assert not ExplicitSeries([0.5j]).real_coefficients
+    assert not Compose(Lens(0.5), ExplicitSeries([0, np.exp(0.3j)])).real_coefficients
 
 
 def test_lens_fixes_origin():
@@ -57,7 +56,7 @@ def test_cusp_logarithmic_contact_law():
 
 def test_boundary_eval_identity():
     # proxy radius 1 - 1e-8 puts the value within 1e-8 of the true limit
-    assert abs(Identity().boundary(0.0) - 1.0) <= 1.01e-8
+    assert abs(ExplicitSeries([0, 1]).boundary(0.0) - 1.0) <= 1.01e-8
 
 
 def test_lens_boundary_contact_exponent():
@@ -175,32 +174,62 @@ def test_parameter_validation():
     with pytest.raises(TypeError):
         ShapiroTaylor(3.0, eps=0.9)
     with pytest.raises(ValueError):
-        Scalar(2.0)
+        ExplicitSeries([2.0])
 
 
 def test_default_boundary_radius_matches_contract():
     assert C.symbols.DEFAULT_BOUNDARY_RADIUS == 1 - 1e-8
     with pytest.raises(ValueError):
-        Identity().boundary(0.0, r_b=1.0)
+        ExplicitSeries([0, 1]).boundary(0.0, r_b=1.0)
 
 
-def test_branch_cut_inputs_are_nudged_and_flagged():
+def _moebius_image(z):
+    """The Moebius step m(z) = (z - i)/(iz - 1) of the half-disk map."""
+    return (z - 1j) / (1j * z - 1.0)
+
+
+def test_branch_cut_inputs_take_the_root_from_above():
     # |z0| = 1 - 2^-53: the Moebius image m of the half-disk map lands exactly
-    # on the negative real axis; unnudged, the square root of m takes the
-    # lower side of the cut and |phi| = 1.92 at theta = 2
+    # on the negative real axis, with Im m = -0.0; the principal root of m
+    # takes the lower side of the cut there and |phi| = 4.82 at theta = 1.5
     z0 = complex(float.fromhex("0x1.ff085d2deaa6ep-1"), float.fromhex("0x1.f75422e25c72bp-5"))
-    assert abs(z0) < 1.0
-    for theta in (1.5, 2.0, 3.0):
-        with pytest.warns(C.symbols.BranchCutWarning):
-            value = ShapiroTaylor(theta).evaluate(z0)
-        assert abs(value) <= 1.0, theta
+    m0 = _moebius_image(np.array([z0]))
+    assert abs(z0) < 1.0 and m0.real[0] < 0.0 and m0.imag[0] == 0.0
+    assert C.symbols._upper_sqrt(m0)[0] == 1j * math.sqrt(-m0.real[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for theta in (1.5, 2.0, 3.0):
+            assert abs(ShapiroTaylor(theta).evaluate(z0)) <= 1.0, theta
 
 
-def test_branch_cut_warning_points_at_the_caller():
-    # the warning names the line that called evaluate, not a frame inside
-    # the package, also when the nudging symbol sits inside a Compose
-    z0 = complex(float.fromhex("0x1.ff085d2deaa6ep-1"), float.fromhex("0x1.f75422e25c72bp-5"))
-    for symbol in (ShapiroTaylor(2.0), Compose(ShapiroTaylor(2.0), Identity())):
-        with pytest.warns(C.symbols.BranchCutWarning) as caught:
-            symbol.evaluate(z0)
-        assert [w.filename for w in caught] == [__file__], type(symbol).__name__
+@pytest.mark.parametrize(
+    "radius, samples",
+    [
+        *((default_radius(k - 1), default_sample_count(k - 1)) for k in (256, 512, 1024, 2048)),
+        (C.symbols.DEFAULT_BOUNDARY_RADIUS, 1 << 16),
+        (C.symbols.DEFAULT_BOUNDARY_RADIUS, 1 << 18),
+        (C.symbols.DEFAULT_BOUNDARY_RADIUS, 1 << 20),
+        (C.symbols.CROSSCHECK_BOUNDARY_RADIUS, 1 << 18),
+    ],
+)
+def test_upper_root_is_the_principal_root_where_the_workloads_sample(radius, samples):
+    # the coefficient transform's sampling circles and rho_profile's boundary
+    # grids stay off the cut, so the root from above changes none of their bits
+    m = _moebius_image(radius * np.exp(1j * (2.0 * np.pi * np.arange(samples) / samples)))
+    assert np.all(m.imag > 0.0)
+    assert np.array_equal(C.symbols._upper_sqrt(m).view(np.uint8), np.sqrt(m).view(np.uint8))
+
+
+@pytest.mark.parametrize("theta", [1.5, 2.0, 3.0])
+def test_shapiro_taylor_strip_image_on_the_upper_line_is_the_limit_from_inside(theta):
+    # 1 - |phi|^2 = 2 cos b / (cosh a + cos b) for beta = a + ib, read on
+    # Im alpha = pi/2 and just inside it; the principal root of -m takes the
+    # other branch there for u < 0 and is off by up to 1.92 relative
+    def gap(beta):
+        return 2.0 * np.cos(beta.imag) / (np.cosh(beta.real) + np.cos(beta.imag))
+
+    spec = ShapiroTaylor(theta)
+    u = np.linspace(-30.0, 30.0, 6001)
+    on_line = gap(spec.strip_image(u + 0.5j * math.pi))
+    inside = gap(spec.strip_image(u + 1j * (0.5 * math.pi - 1e-9)))
+    assert np.max(np.abs(on_line / inside - 1.0)) < 1e-4
