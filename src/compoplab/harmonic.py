@@ -6,7 +6,8 @@ g(inf) = 0.  Harmonic measure from the base point pi + 3i pi is sampled
 by jumping to uniform points on disks of certified radius until
 absorption within 1e-6 of the boundary; the boundary set
 {e^{-Re w} > 1 - h} then measures the level sets of the induced symbol
-e^{-f} without constructing the conformal map f.
+e^{-f} without constructing the conformal map f.  The walks run in
+cohorts, so memory does not grow with their number.
 """
 
 from __future__ import annotations
@@ -37,6 +38,10 @@ _STEP_CAP = 10**6
 # GraphChannel.distance_vector on one block stay in cache instead of
 # streaming whole-ensemble arrays
 _DISTANCE_BLOCK = 8192
+# walks per cohort of wos_harmonic_measures, which sizes the walk state for
+# one cohort; each cohort pays its own tail of a few long walks, about 200
+# steps of mostly Python overhead, so smaller cohorts cost run time
+_COHORT = 2**18
 
 
 @dataclass(frozen=True)
@@ -169,13 +174,16 @@ def _iteration_rng(seed: int, iteration: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _unit_steps(seed: int, iteration: int, out: np.ndarray) -> None:
+def _unit_steps(seed: int, iteration: int, offset: int, out: np.ndarray) -> None:
     """Write into out[0] and out[1] the cos and sin of the out.shape[1]
-    angles Philox draws for (seed, iteration).  The angles are
-    random() * 2pi, the bits of uniform(0, 2pi), which adds 0 to that
-    product."""
+    angles Philox draws for (seed, iteration), from the offset-th on.  The
+    angles are random() * 2pi, the bits of uniform(0, 2pi), which adds 0 to
+    that product.  One Philox counter step yields 4 uint64, one per double."""
     angles, sin = out
-    _iteration_rng(seed, iteration).random(out=angles)
+    rng = _iteration_rng(seed, iteration)
+    rng.bit_generator.advance(offset // 4)
+    rng.bit_generator.random_raw(offset % 4)
+    rng.random(out=angles)
     angles *= TWO_PI
     np.sin(angles, out=sin)
     np.cos(angles, out=angles)
@@ -229,59 +237,75 @@ def wos_harmonic_measures(
     a view of p; far_mask(p), the walks to stop and score in closed form;
     and far_scores(p, targets), one array of scores per target for them.
 
-    The walks live in fixed buffers of samples entries, 56 bytes per walk:
-    positions (complex128), distances (float64) and two draw buffers of
-    cos and sin (2 x 2 float64).  A Philox draw of n values begins with the
-    draw of any m <= n, so one worker thread fills one draw buffer for the
-    n walks active at step k while the calling thread applies step k - 1
-    from the other and absorbs; the m survivors of step k use the first m.
-    Absorption and compaction run one _DISTANCE_BLOCK at a time, and the
-    hits of a step are scored together.  The far field is handled once per
-    step on the whole ensemble; only when some walk is far does it copy
-    the survivors.
+    The walks run in cohorts of _COHORT, one after another, in buffers
+    sized for one cohort, 56 bytes per walk: positions (complex128),
+    distances (float64) and two draw buffers of cos and sin (2 x 2
+    float64).  At step k a cohort enters the Philox stream of (seed, k) at
+    the count of earlier cohorts' walks that drew at step k.  A draw of n
+    values begins with the draw of any m <= n, so one worker thread fills
+    one draw buffer for the n walks active at step k while the calling
+    thread applies step k - 1 from the other and absorbs, one
+    _DISTANCE_BLOCK at a time; the m survivors of step k use the first m.
+    Each step's far-field score arrays, in cohort order, and hit counts
+    are added in step order at the end, as one ensemble would add them.
     """
     if samples < 1:
         raise ValueError("need at least one trajectory")
-    scores = np.zeros(len(targets))
+    # per step k: the walks of earlier cohorts that drew, the far-field
+    # score arrays of each target, and the hit count of each target
+    drawn, far_step, hit_step = {}, {}, {}
     n_far = 0
     n_capped = 0
-    iteration = 0
-    n = samples
-    p = np.full(samples, complex(region.base_point), dtype=complex)
-    d = np.empty(samples)
+    size = min(samples, _COHORT)
+    p = np.empty(size, dtype=complex)
+    d = np.empty(size)
     # draws[k % 2] holds the cos (row 0) and sin (row 1) of step k
-    draws = np.empty((2, 2, samples))
+    draws = np.empty((2, 2, size))
     with ThreadPoolExecutor(max_workers=1) as pool:
-        steps = pool.submit(_unit_steps, seed, iteration, draws[0])
-        while True:
-            far = region.far_mask(p[:n])
-            if np.any(far):
-                far_pts = p[:n][far]
-                for i, sc in enumerate(region.far_scores(far_pts, targets)):
-                    scores[i] += float(sc.sum())
-                n_far += far_pts.size
-                p[: n - far_pts.size] = p[:n][~far]
-                n -= far_pts.size
-            n, hits = _absorb_and_compact(region, p, d, n)
-            if hits:
-                hit = np.concatenate(hits)
-                for i, pred in enumerate(targets):
-                    scores[i] += float(np.count_nonzero(pred(hit)))
-            steps.result()
-            cos_a, sin_a = draws[iteration % 2, :, :n]
-            iteration += 1
-            if n == 0:
-                break
-            if iteration >= _STEP_CAP:
-                n_capped = n
-                break
-            # the next step's draw runs while this one is applied
-            steps = pool.submit(_unit_steps, seed, iteration, draws[iteration % 2, :, :n])
-            np.multiply(d[:n], cos_a, out=cos_a)
-            np.multiply(d[:n], sin_a, out=sin_a)
-            p[:n].real += cos_a
-            p[:n].imag += sin_a
+        for first in range(0, samples, size):
+            n = min(size, samples - first)
+            p[:n] = region.base_point
+            iteration = 0
+            steps = pool.submit(_unit_steps, seed, 0, drawn.get(0, 0), draws[0, :, :n])
+            while True:
+                far = region.far_mask(p[:n])
+                if np.any(far):
+                    far_pts = p[:n][far]
+                    tally = far_step.setdefault(iteration, [[] for _ in targets])
+                    for got, sc in zip(tally, region.far_scores(far_pts, targets)):
+                        got.append(sc)
+                    n_far += far_pts.size
+                    p[: n - far_pts.size] = p[:n][~far]
+                    n -= far_pts.size
+                n, hits = _absorb_and_compact(region, p, d, n)
+                if hits:
+                    hit = np.concatenate(hits)
+                    tally = hit_step.setdefault(iteration, [0] * len(targets))
+                    for i, pred in enumerate(targets):
+                        tally[i] += np.count_nonzero(pred(hit))
+                drawn[iteration] = drawn.get(iteration, 0) + n
+                steps.result()
+                cos_a, sin_a = draws[iteration % 2, :, :n]
+                iteration += 1
+                if n == 0:
+                    break
+                if iteration >= _STEP_CAP:
+                    n_capped += n
+                    break
+                # the next step's draw runs while this one is applied
+                draw = draws[iteration % 2, :, :n]
+                steps = pool.submit(_unit_steps, seed, iteration, drawn.get(iteration, 0), draw)
+                np.multiply(d[:n], cos_a, out=cos_a)
+                np.multiply(d[:n], sin_a, out=sin_a)
+                p[:n].real += cos_a
+                p[:n].imag += sin_a
 
+    scores = np.zeros(len(targets))
+    for k in sorted(drawn):
+        for i, sc in enumerate(far_step.get(k, ())):
+            scores[i] += float(np.concatenate(sc).sum())
+        for i, count in enumerate(hit_step.get(k, ())):
+            scores[i] += float(count)
     completed = samples - n_capped
     if completed == 0:
         raise RuntimeError(

@@ -491,7 +491,7 @@ def _tail(p):
 _CHANNEL_WALKS = 3 * _DISTANCE_BLOCK + 5
 
 
-@pytest.mark.parametrize(
+_ENGINE_CASES = pytest.mark.parametrize(
     "region, predicates, samples, step_cap",
     [
         # the cap stops about 3% of the walks
@@ -505,12 +505,33 @@ _CHANNEL_WALKS = 3 * _DISTANCE_BLOCK + 5
             10**6,
         ),
         (_variant(HalfPlaneRegion, cutoff=3.0), [lambda p: np.abs(p.real) < 1.0], 10**4, 10**6),
+        # most walks end in the far field; the second target scores the
+        # top exit, a fraction, so the order of the float additions shows
+        (
+            _variant(GraphChannel, far_x=5.0),
+            [_tail, lambda p: p.imag > 4 * PI],
+            _CHANNEL_WALKS,
+            10**6,
+        ),
     ],
-    ids=["channel-capped", "channel", "disk", "half-plane-far-field"],
+    ids=[
+        "channel-capped",
+        "channel",
+        "disk",
+        "half-plane-far-field",
+        "channel-fractional-far-field",
+    ],
 )
-def test_walks_bit_identical_to_reference_engine(
-    region, predicates, samples, step_cap, monkeypatch
-):
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+def _assert_walks_are_the_reference(region, predicates, samples, step_cap, monkeypatch):
+    """The engine's estimates equal those of _reference_walks bit for bit,
+    and its absorbed points are the reference's.  Returns the two logs of
+    absorbed batches, the engine's and the reference's."""
     ref_log, log = [], []
     ref_scores, ref_far, ref_capped = _reference_walks(
         region, _recording_targets(ref_log, predicates), samples, seed=41, step_cap=step_cap
@@ -519,10 +540,8 @@ def test_walks_bit_identical_to_reference_engine(
     estimates = wos_harmonic_measures(
         region, _recording_targets(log, predicates), samples=samples, seed=41
     )
-    assert len(log) == len(ref_log) > 0
-    for got, want in zip(log, ref_log):
-        assert got.dtype == want.dtype
-        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+    assert log and ref_log
+    assert _same_bits(np.sort(np.concatenate(log)), np.sort(np.concatenate(ref_log)))
     completed = samples - ref_capped
     for est, score in zip(estimates, ref_scores):
         assert est.probability == score / completed
@@ -533,22 +552,51 @@ def test_walks_bit_identical_to_reference_engine(
         assert 0 < ref_capped < samples
     if isinstance(region, HalfPlaneRegion):
         assert ref_far > 0
+    if getattr(region, "far_x", math.inf) < 10:
+        assert ref_far > 0 and any(score % 1.0 for score in ref_scores)
+    return log, ref_log
+
+
+@_ENGINE_CASES
+def test_walks_bit_identical_to_reference_engine(
+    region, predicates, samples, step_cap, monkeypatch
+):
+    log, ref_log = _assert_walks_are_the_reference(
+        region, predicates, samples, step_cap, monkeypatch
+    )
+    # one cohort: the hits of each step are scored in one batch, in order
+    assert samples <= harmonic._COHORT
+    assert len(log) == len(ref_log)
+    assert all(_same_bits(got, want) for got, want in zip(log, ref_log))
+
+
+@_ENGINE_CASES
+def test_cohorts_bit_identical_to_reference_engine(
+    region, predicates, samples, step_cap, monkeypatch
+):
+    # a multiple of neither the 4 doubles of one Philox counter step nor
+    # _DISTANCE_BLOCK; the last cohort is short
+    monkeypatch.setattr(harmonic, "_COHORT", 5003)
+    assert samples > 5003 and samples % 5003
+    _assert_walks_are_the_reference(region, predicates, samples, step_cap, monkeypatch)
 
 
 @pytest.mark.parametrize("n", [1, 2, 8192, 10**5])
 def test_philox_draw_begins_with_every_shorter_draw(n):
-    full = _iteration_rng(7, 3).uniform(0.0, TWO_PI, n)
+    offsets = (0, 1, 2, 3, 4, 5, 8191)
+    full = _iteration_rng(7, 3).uniform(0.0, TWO_PI, n + max(offsets))
     for m in sorted({0, 1, n // 2, n}):
         prefix = _iteration_rng(7, 3).uniform(0.0, TWO_PI, m)
-        assert np.array_equal(full[:m].view(np.uint8), prefix.view(np.uint8))
-        # the buffered draw writes the cos and sin of the same angles into
-        # the first m columns of a wider buffer, as the engine's are, and
-        # leaves the rest alone
-        draws = np.full((2, n), np.nan)
-        _unit_steps(7, 3, draws[:, :m])
-        want = np.stack([np.cos(prefix), np.sin(prefix)])
-        assert np.array_equal(draws[:, :m].view(np.uint8), want.view(np.uint8))
-        assert np.all(np.isnan(draws[:, m:]))
+        assert _same_bits(full[:m], prefix)
+        # the buffered draw entered at an offset writes the cos and sin of
+        # the angles from that offset on into the first m columns of a
+        # wider buffer, as the engine's are, and leaves the rest alone
+        for offset in offsets:
+            draws = np.full((2, n), np.nan)
+            _unit_steps(7, 3, offset, draws[:, :m])
+            angles = full[offset : offset + m]
+            assert _same_bits(draws[:, :m], np.stack([np.cos(angles), np.sin(angles)]))
+            assert np.all(np.isnan(draws[:, m:]))
 
 
 def test_walk_state_is_fixed_buffers(channel):
@@ -565,6 +613,29 @@ def test_walk_state_is_fixed_buffers(channel):
     finally:
         tracemalloc.stop()
     assert peak / samples <= 64.0, peak / samples
+
+
+def test_walk_state_does_not_grow_with_the_ensemble(monkeypatch):
+    # walks from the disk's center are absorbed on their second step, so
+    # one cohort's state, not a tail of long walks, sets the peak: 56 bytes
+    # per walk of the cohort, plus the copies of one cohort's hits and the
+    # distance temporaries, 1.92 x 56 x cohort in all.  The peaks at 8 and
+    # 32 cohorts were 0.8 kB apart; one ensemble of all the walks would
+    # read 2.9 MB and 11.8 MB
+    cohort = 4096
+    monkeypatch.setattr(harmonic, "_COHORT", cohort)
+    targets = [lambda p: p.real > 0]
+    wos_harmonic_measures(DiskRegion(), targets, samples=1000, seed=5)
+    peaks = []
+    for cohorts in (8, 32):
+        tracemalloc.start()
+        try:
+            wos_harmonic_measures(DiskRegion(), targets, samples=cohorts * cohort, seed=5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 4096, peaks
+    assert max(peaks) <= 2.5 * 56 * cohort, peaks
 
 
 @pytest.mark.parametrize(
