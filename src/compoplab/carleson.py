@@ -1,11 +1,13 @@
 """Pullback measures on the boundary: windows, rho profiles, level sets.
 
 The pullback measure of a symbol phi is estimated from Q equispaced
-boundary samples of the radial-limit proxy.  A window S(xi, h) collects
-the samples with |phi* - xi| <= h; rho(h) is the maximum window mass over
-a grid of centers at spacing h/4, and the level quantity is the mass of
-{|phi*| >= 1 - h}.  Equispaced sampling makes every estimate a
-deterministic Riemann sum.
+boundary samples of the radial-limit proxy (`boundary_values`): phi on
+the circle of radius r_b = 1 - 1e-8 (`DEFAULT_BOUNDARY_RADIUS`), with a
+cross-check radius of 1 - 1e-6 (`CROSSCHECK_BOUNDARY_RADIUS`).  A window
+S(xi, h) collects the samples with |phi* - xi| <= h; rho(h) is the
+maximum window mass over a grid of centers at spacing h/4, and the level
+quantity is the mass of {|phi*| >= 1 - h}.  Equispaced sampling makes
+every estimate a deterministic Riemann sum.
 """
 
 from __future__ import annotations
@@ -14,18 +16,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symbols import DEFAULT_BOUNDARY_RADIUS, Symbol
+from .symbols import Symbol
 
 __all__ = [
-    "default_h_grid",
+    "DEFAULT_BOUNDARY_RADIUS",
+    "CROSSCHECK_BOUNDARY_RADIUS",
     "CarlesonProfile",
+    "boundary_values",
     "rho_profile",
 ]
 
-
-def default_h_grid() -> np.ndarray:
-    """Geometric grid 2^-1 down to 2^-10."""
-    return 2.0 ** -np.arange(1, 11, dtype=float)
+DEFAULT_BOUNDARY_RADIUS = 1.0 - 1e-8
+CROSSCHECK_BOUNDARY_RADIUS = 1.0 - 1e-6
 
 
 @dataclass(frozen=True)
@@ -62,9 +64,12 @@ class CarlesonProfile:
         return cls(h, rho, np.zeros_like(h))
 
 
-def _boundary_values(spec: Symbol, samples: int, r_b: float) -> np.ndarray:
+def boundary_values(spec: Symbol, samples: int, r_b: float = DEFAULT_BOUNDARY_RADIUS):
+    """Radial-limit proxy: phi at r_b e^(2 pi i k / Q), k < Q = `samples`."""
+    if not 0.0 < r_b < 1.0:
+        raise ValueError(f"boundary radius must lie in (0, 1), got {r_b}")
     t = 2.0 * np.pi * np.arange(samples) / samples
-    return np.asarray(spec.boundary(t, r_b))
+    return spec.evaluate(r_b * np.exp(1j * t))
 
 
 def _max_window_mass(w: np.ndarray, h: float, centers: int) -> int:
@@ -109,12 +114,14 @@ def rho_profile(
     r_b: float = DEFAULT_BOUNDARY_RADIUS,
 ) -> CarlesonProfile:
     """Estimate rho(h) and the level mass m({|phi*| >= 1-h}) on a grid of h
-    from `samples` equispaced boundary angles.
+    (2^-1 down to 2^-10 by default) from `samples` equispaced boundary angles.
 
     Window centers are spaced at most h/4 apart.
     """
-    h_grid = default_h_grid() if h_grid is None else np.sort(np.asarray(h_grid, dtype=float))[::-1]
-    w = _boundary_values(spec, samples, r_b)
+    if h_grid is None:
+        h_grid = 2.0 ** -np.arange(1, 11, dtype=float)
+    h_grid = np.sort(np.asarray(h_grid, dtype=float))[::-1]
+    w = boundary_values(spec, samples, r_b)
     moduli_sorted = np.sort(np.abs(w))
 
     rho = np.empty_like(h_grid)

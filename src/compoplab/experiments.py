@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .carleson import CarlesonProfile, rho_profile
+from .carleson import CROSSCHECK_BOUNDARY_RADIUS, CarlesonProfile, boundary_values, rho_profile
 from .harmonic import (
     DiskRegion,
     GraphChannel,
@@ -51,7 +51,7 @@ from .spectra import (
     upper_bound_plain,
     upper_bound_weighted,
 )
-from .symbols import CROSSCHECK_BOUNDARY_RADIUS, BlaschkeSquare, Cusp, Lens, ShapiroTaylor
+from .symbols import BlaschkeSquare, Cusp, Lens, ShapiroTaylor
 
 __all__ = [
     "ExperimentConfig",
@@ -377,10 +377,9 @@ def blaschke_passage(samples: int, hs):
     a = _BLASCHKE_ZERO
     kappa = 4.0 / (1.0 - a * a)
     blaschke = BlaschkeSquare(a)
-    t = 2.0 * np.pi * np.arange(samples) / samples
     rows = []
     for name, inner in (("cusp", Cusp()), ("lens-half", Lens(0.5))):
-        sigma_vals = inner.boundary(t)
+        sigma_vals = boundary_values(inner, samples)
         psi_vals = blaschke.evaluate(sigma_vals)
         for h in hs:
             lhs = float(np.mean(np.abs(psi_vals) > 1.0 - h))

@@ -77,14 +77,15 @@ def _transform_block(block, real_out, unscale, k0, sink):
         cols = np.fft.fft(block, axis=1, out=block)
     else:
         cols = np.fft.irfft(block, real_out.shape[1], axis=1, norm="forward", out=real_out)
-    cols = cols[:, : unscale.size] * unscale
-    if k0 <= 1 < k0 + len(cols):
-        norm = float(np.linalg.norm(cols[1 - k0]))
-        if norm > 1.0 + 1e-9:
-            raise SingularEvaluationError(
-                f"symbol is not a self-map: its coefficients have l2 norm {norm:.6g} > 1"
-            )
-    sink(k0, cols)
+    sink(k0, cols[:, : unscale.size] * unscale)
+
+
+def _coefficient_norm(values, m, unscale) -> float:
+    """l2 norm of column 1 of the transform (the H^2 norm of phi, up to alias
+    and rounding), from the samples as it powers them: all M = `m` nodes of
+    the circle, or the conjugates on its first M/2 + 1."""
+    coeffs = np.fft.fft(values) if values.size == m else np.fft.irfft(values, m, norm="forward")
+    return float(np.linalg.norm(coeffs[: unscale.size] * unscale))
 
 
 def _grid_power_columns(spec: Symbol, truncation: int, sink) -> None:
@@ -109,10 +110,8 @@ def _grid_power_columns(spec: Symbol, truncation: int, sink) -> None:
     row computed alone, the columns equal those of one FFT per column bit
     for bit, whatever the core count.  The alias bound holds uniformly in
     k only for sup |phi| <= 1, so two lower bounds of sup |phi| are
-    checked against 1: the maximum modulus on the circle, before any
-    power, and the l2 norm of column 1 (the H^2 norm of phi, up to alias
-    and rounding), in the block that holds it.  An error in a block is
-    raised once every submitted block has stopped.
+    checked against 1 on the calling thread before any power is taken:
+    the maximum modulus on the circle and `_coefficient_norm`.
     """
     order = truncation - 1
     r = default_radius(order)
@@ -125,15 +124,20 @@ def _grid_power_columns(spec: Symbol, truncation: int, sink) -> None:
         raise SingularEvaluationError(
             f"symbol is not a self-map on the sampling circle (max modulus {top:.6g})"
         )
+    if hermitian:
+        values = np.conj(values)
     unscale = 1.0 / (m * r ** np.arange(truncation))
+    norm = _coefficient_norm(values, m, unscale)
+    if norm > 1.0 + 1e-9:
+        raise SingularEvaluationError(
+            f"symbol is not a self-map: its coefficients have l2 norm {norm:.6g} > 1"
+        )
     rows = min(truncation, max(1, _BLOCK_BYTES // (16 * m)))
     starts = range(0, truncation, rows)
     slots = min(_core_count(), len(starts))
     blocks = np.empty((slots, rows, values.size), dtype=complex)
     running = np.empty(values.size, dtype=complex)
-    if hermitian:
-        values = np.conj(values)
-        real_out = np.empty((slots, rows, m))
+    real_out = np.empty((slots, rows, m)) if hermitian else None
     futures = []
     with ThreadPoolExecutor(max_workers=slots) as pool:
         for j, k0 in enumerate(starts):
@@ -223,9 +227,7 @@ def hs_norm_sq(spec: Symbol, truncation: int) -> HsReport:
         norms[k0 : k0 + len(cols)] = np.sum(np.abs(cols) ** 2, axis=1)
 
     _grid_power_columns(spec, truncation, put)
-    verdict = classify_series_convergence(norms)
-    trend = {"summable": "converging", "not_summable": "diverging"}.get(verdict, "inconclusive")
-    return HsReport(partial=float(norms.sum()), trend=trend)
+    return HsReport(partial=float(norms.sum()), trend=classify_series_convergence(norms))
 
 
 def kernel_ratio(spec: Symbol, dimension: int, r: float) -> float:

@@ -473,7 +473,8 @@ def decay_fit(spectrum, model: str, fit_range: tuple) -> DecayFit:
 
 
 def classify_series_convergence(terms) -> str:
-    """Dyadic-block ratio/slope test on sum_n terms[n].
+    """Dyadic-block ratio/slope test on sum_n terms[n]: "converging",
+    "diverging" or "inconclusive".
 
     Blocks B_j = sum over n in [2^j, 2^(j+1)); power-law blocks B_j ~ j^-q
     are summable iff q > 1, so the classifier fits q on the trailing
@@ -492,15 +493,15 @@ def classify_series_convergence(terms) -> str:
         return "inconclusive"
     total = float(t.sum())
     if blocks[-1] <= 1e-30 * max(total, 1e-300):
-        return "summable"
+        return "converging"
     tail = blocks[-min(6, blocks.size) :]
     idx = np.arange(blocks.size - tail.size + 1, blocks.size + 1, dtype=float)
     if np.any(tail <= 0.0):
-        return "summable" if tail[-1] == 0.0 else "inconclusive"
+        return "converging" if tail[-1] == 0.0 else "inconclusive"
     slope, _, _ = linear_fit(np.log(idx), np.log(tail))
     q = -slope
     if q >= 1.15:
-        return "summable"
+        return "converging"
     if q <= 0.85:
-        return "not_summable"
+        return "diverging"
     return "inconclusive"

@@ -2,9 +2,8 @@
 
 Every symbol evaluates vectorized on complex arrays, maps the open disk
 into the closed disk, and reports singular evaluations instead of
-returning NaN.  Boundary values are proxied by evaluation on the circle
-of radius 1 - 1e-8 with a cross-check radius of 1 - 1e-6.  Maps that are
-polynomials (the identity, rotations, constants) are `ExplicitSeries`.
+returning NaN.  Maps that are polynomials (the identity, rotations,
+constants) are `ExplicitSeries`.
 
 Principal powers and logarithms are plain `**` and `np.log`: the
 arguments 1 +- z of the lens map, (1 - z)/4 of the cusp map and -log g of
@@ -27,8 +26,6 @@ import numpy as np
 from .series import _circle_nodes
 
 __all__ = [
-    "DEFAULT_BOUNDARY_RADIUS",
-    "CROSSCHECK_BOUNDARY_RADIUS",
     "SingularEvaluationError",
     "Symbol",
     "Lens",
@@ -40,8 +37,6 @@ __all__ = [
     "shipped_symbols",
 ]
 
-DEFAULT_BOUNDARY_RADIUS = 1.0 - 1e-8
-CROSSCHECK_BOUNDARY_RADIUS = 1.0 - 1e-6
 
 class SingularEvaluationError(ArithmeticError):
     """A symbol was evaluated at or too close to one of its singularities."""
@@ -81,13 +76,6 @@ class Symbol(abc.ABC):
         if arr.ndim == 0:
             return complex(out)
         return out
-
-    def boundary(self, t, r_b: float = DEFAULT_BOUNDARY_RADIUS):
-        """Radial-limit proxy: evaluate at r_b * e^{it}."""
-        if not 0.0 < r_b < 1.0:
-            raise ValueError(f"boundary radius must lie in (0, 1), got {r_b}")
-        t = np.asarray(t, dtype=float)
-        return self.evaluate(r_b * np.exp(1j * t))
 
     def strip_image(self, alpha):
         """The map in strip coordinates: beta = 2 artanh(phi(tanh(alpha/2))).

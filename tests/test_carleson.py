@@ -3,16 +3,74 @@ import math
 import numpy as np
 import pytest
 
-from compoplab.carleson import CarlesonProfile, rho_profile
+from compoplab.carleson import (
+    CROSSCHECK_BOUNDARY_RADIUS,
+    DEFAULT_BOUNDARY_RADIUS,
+    CarlesonProfile,
+    boundary_values,
+    rho_profile,
+)
 from compoplab.experiments import radius_stability
 from compoplab.spectra import linear_fit
 from compoplab.symbols import (
     Cusp,
     ExplicitSeries,
     Lens,
+    ShapiroTaylor,
 )
 
 Q = 1 << 18
+# boundary grid fine enough to reach angles of 6e-6 (index 1) near contact
+FINE = 1 << 20
+
+
+def _angles(indices):
+    return 2.0 * np.pi * np.asarray(indices) / FINE
+
+
+def test_boundary_values_are_the_symbol_on_the_proxy_circle():
+    t = 2.0 * np.pi * np.arange(1000) / 1000
+    for spec in (Lens(0.5), Cusp(), ExplicitSeries([0.1j, 0.5])):
+        want = spec.evaluate(DEFAULT_BOUNDARY_RADIUS * np.exp(1j * t))
+        assert np.array_equal(boundary_values(spec, 1000), want)
+    assert np.array_equal(boundary_values(Cusp(), 1000, 0.5), Cusp().evaluate(0.5 * np.exp(1j * t)))
+
+
+def test_default_boundary_radius_matches_contract():
+    assert DEFAULT_BOUNDARY_RADIUS == 1 - 1e-8
+    assert CROSSCHECK_BOUNDARY_RADIUS == 1 - 1e-6
+    for r_b in (0.0, -0.5, 1.0, 1.5):
+        with pytest.raises(ValueError, match="boundary radius"):
+            boundary_values(ExplicitSeries([0, 1]), 16, r_b)
+
+
+def test_boundary_eval_identity():
+    # proxy radius 1 - 1e-8 puts the value within 1e-8 of the true limit
+    assert abs(boundary_values(ExplicitSeries([0, 1]), 1)[0] - 1.0) <= 1.01e-8
+
+
+def test_lens_boundary_contact_exponent():
+    ks = np.array([1, 1 << 6, 1 << 12])  # t = 6.0e-6, 3.8e-4, 2.5e-2
+    gaps = 1.0 - np.abs(boundary_values(Lens(0.5), FINE)[ks])
+    slope = linear_fit(np.log(_angles(ks)), np.log(gaps))[0]
+    assert abs(slope - 0.5) <= 0.05
+
+
+def test_shapiro_taylor_boundary_tends_to_one():
+    ks = [1 << 12, 1 << 8, 1 << 4]  # t = 2.5e-2, 1.5e-3, 9.6e-5
+    mods = np.abs(boundary_values(ShapiroTaylor(2.0), FINE)[ks])
+    assert mods[0] < mods[1] < mods[2]
+    assert mods[-1] > 0.999
+
+
+def test_cusp_contact_stable_across_radii():
+    ks = np.array([1 << 11, 1 << 8])  # t = 1.2e-2, 1.5e-3
+    vals = [
+        np.abs(1 - boundary_values(Cusp(), FINE, r_b)[ks]) * np.log(1.0 / _angles(ks))
+        for r_b in (1 - 1e-6, 1 - 1e-8)
+    ]
+    assert np.all(np.abs(vals[0] - vals[1]) < 1e-3)
+    assert 1.0 <= np.min(vals) and np.max(vals) <= 2.5
 
 
 def test_cusp_windows_are_exponentially_small():
@@ -87,6 +145,18 @@ def test_profiles_stable_under_boundary_radius(roster):
     for name, spec in roster.items():
         _, gap, ok = radius_stability(spec, 1 << 16)
         assert ok, (name, gap)
+
+
+def test_radius_cross_check_fails_on_a_map_the_radii_tell_apart():
+    # |z^n| = r_b^n on the proxy circle: 1 - 1e-5 and 1 - 1e-3 at n = 1000,
+    # so the level mass at h = 2^-10 is 1 at one radius and 0 at the other
+    def power(n):
+        return ExplicitSeries(np.eye(n + 1)[n])
+
+    _, gap, ok = radius_stability(power(1000), 1 << 16)
+    assert not ok and gap == 1.0
+    _, gap, ok = radius_stability(power(100), 1 << 16)
+    assert ok, gap
 
 
 def test_profile_validation():

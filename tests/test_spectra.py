@@ -336,16 +336,16 @@ def test_schatten_membership_classification():
     with np.errstate(under="ignore"):
         schedule = np.exp(-n * epsilon_power(0.5)(n))
         for values, p, verdict in (
-            (np.exp(-np.sqrt(n)), 0.1, "summable"),
-            (schedule, 0.1, "summable"),
-            (1.0 / n, 1.0, "not_summable"),
-            (1.0 / n**2, 1.0, "summable"),
+            (np.exp(-np.sqrt(n)), 0.1, "converging"),
+            (schedule, 0.1, "converging"),
+            (1.0 / n, 1.0, "diverging"),
+            (1.0 / n**2, 1.0, "converging"),
         ):
             assert classify_series_convergence(values**p) == verdict
 
 
 def test_classifier_growing_blocks():
-    assert classify_series_convergence(np.ones(1 << 12)) == "not_summable"
+    assert classify_series_convergence(np.ones(1 << 12)) == "diverging"
 
 
 def test_schedule_validation_and_delta_construction():

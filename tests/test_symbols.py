@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import compoplab as C
 from compoplab.experiments import blaschke_passage, contraction_floor
 from compoplab.series import default_radius, default_sample_count
-from compoplab.spectra import linear_fit
 from compoplab.symbols import (
     BlaschkeSquare,
     Compose,
@@ -52,25 +51,6 @@ def test_cusp_logarithmic_contact_law():
     for x in (1 - 1e-2, 1 - 1e-4, 1 - 1e-6):
         v = abs(1 - cusp.evaluate(x)) * math.log(1.0 / (1.0 - x))
         assert 1.2 <= v <= 2.0
-
-
-def test_boundary_eval_identity():
-    # proxy radius 1 - 1e-8 puts the value within 1e-8 of the true limit
-    assert abs(ExplicitSeries([0, 1]).boundary(0.0) - 1.0) <= 1.01e-8
-
-
-def test_lens_boundary_contact_exponent():
-    ts = np.array([1e-2, 1e-4, 1e-6])
-    gaps = 1.0 - np.abs(Lens(0.5).boundary(ts))
-    slope = linear_fit(np.log(ts), np.log(gaps))[0]
-    assert abs(slope - 0.5) <= 0.05
-
-
-def test_shapiro_taylor_boundary_tends_to_one():
-    st = ShapiroTaylor(2.0)
-    mods = [abs(st.boundary(t)) for t in (1e-2, 1e-3, 1e-4)]
-    assert mods[0] < mods[1] < mods[2]
-    assert mods[-1] > 0.999
 
 
 @pytest.mark.parametrize("spec", [Lens(0.5), ShapiroTaylor(1.5), ShapiroTaylor(2.0)])
@@ -137,16 +117,6 @@ def test_lens_maps_are_odd(rng):
         assert np.max(np.abs(lens.evaluate(-z) + lens.evaluate(z))) < 1e-12
 
 
-def test_cusp_contact_stable_across_radii():
-    cusp = Cusp()
-    for t in (1e-2, 1e-3):
-        vals = []
-        for r_b in (1 - 1e-6, 1 - 1e-8):
-            vals.append(abs(1 - cusp.boundary(t, r_b)) * math.log(1.0 / t))
-        assert abs(vals[0] - vals[1]) < 1e-3
-        assert 1.0 <= min(vals) and max(vals) <= 2.5
-
-
 def test_blaschke_level_set_passage():
     # |B(w)| > 1-h forces 1-|w| <= kappa_a h pointwise, hence on counts
     rows, _, ok = blaschke_passage(1 << 16, (0.25, 0.1, 0.05))
@@ -177,12 +147,6 @@ def test_parameter_validation():
         ExplicitSeries([2.0])
 
 
-def test_default_boundary_radius_matches_contract():
-    assert C.symbols.DEFAULT_BOUNDARY_RADIUS == 1 - 1e-8
-    with pytest.raises(ValueError):
-        ExplicitSeries([0, 1]).boundary(0.0, r_b=1.0)
-
-
 def _moebius_image(z):
     """The Moebius step m(z) = (z - i)/(iz - 1) of the half-disk map."""
     return (z - 1j) / (1j * z - 1.0)
@@ -206,10 +170,10 @@ def test_branch_cut_inputs_take_the_root_from_above():
     "radius, samples",
     [
         *((default_radius(k - 1), default_sample_count(k - 1)) for k in (256, 512, 1024, 2048)),
-        (C.symbols.DEFAULT_BOUNDARY_RADIUS, 1 << 16),
-        (C.symbols.DEFAULT_BOUNDARY_RADIUS, 1 << 18),
-        (C.symbols.DEFAULT_BOUNDARY_RADIUS, 1 << 20),
-        (C.symbols.CROSSCHECK_BOUNDARY_RADIUS, 1 << 18),
+        (C.carleson.DEFAULT_BOUNDARY_RADIUS, 1 << 16),
+        (C.carleson.DEFAULT_BOUNDARY_RADIUS, 1 << 18),
+        (C.carleson.DEFAULT_BOUNDARY_RADIUS, 1 << 20),
+        (C.carleson.CROSSCHECK_BOUNDARY_RADIUS, 1 << 18),
     ],
 )
 def test_upper_root_is_the_principal_root_where_the_workloads_sample(radius, samples):
