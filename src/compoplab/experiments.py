@@ -30,8 +30,10 @@ from .harmonic import (
 from .operators import (
     build_matrix,
     hs_norm_sq,
+    kernel_lower_bound,
     kernel_ratio,
     multiplicity_weights,
+    strip_lattice,
     unboundedness_witness,
 )
 from .spectra import (
@@ -71,6 +73,7 @@ __all__ = [
     "covering_sample",
     "witness_growth",
     "section_decay",
+    "kernel_law",
     "hs_dichotomy",
     "blaschke_passage",
     "contraction_floor",
@@ -354,6 +357,34 @@ def section_decay(spec, fit_range, min_exponent: float):
     )
     ok = rate > 0 and d_rate > 0 and alpha >= min_exponent and fit.r_squared >= 0.98
     return fit, d_rate, detail, bool(ok)
+
+
+def kernel_law(symbol, nodes, extra, model: str, hi: int):
+    """(the kernel lower bound of `symbol` on `nodes`, the bound on `nodes` and
+    `extra` together, the `model` fit of the first on [20, hi], the largest
+    relative move of s_20..s_hi from the first bound to the second, a detail
+    line, whether the first bound keeps at least hi values and the move is
+    below 1e-2).  The move is inf when the refined bound keeps fewer than hi
+    values.  A first bound shorter than hi fails at once, with no refinement
+    and no fit (None, None, inf).  The float floor of a kept s_hi lies below
+    it, since a spectrum keeps no value at or below its floor, so the detail
+    prints the floor and the verdict does not read it."""
+    spectrum = kernel_lower_bound(symbol, nodes)
+    detail = f"kernel lower bound keeps {len(spectrum)} values (need >= {hi})"
+    if len(spectrum) < hi:
+        return spectrum, None, None, math.inf, detail, False
+    fit = decay_fit(spectrum, model, (20, hi))
+    refined = kernel_lower_bound(symbol, np.append(nodes, extra))
+    move = math.inf
+    if len(refined) >= hi:
+        move = float(np.max(np.abs(refined.values[19:hi] / spectrum.values[19:hi] - 1.0)))
+    detail += (
+        f" on {spectrum.truncation} nodes, float floor {spectrum.floor:.1e} "
+        f"vs s_{hi}={spectrum.a(hi):.3e} (implied by the kept count), "
+        f"+{extra.size} nodes at Im=+-{extra.imag.max():g} "
+        f"move s_n on [20,{hi}] by {move:.1e} relative (need < 1e-2)"
+    )
+    return spectrum, refined, fit, move, detail, bool(move < 0.01)
 
 
 def hs_dichotomy(thetas, truncation: int):
@@ -736,6 +767,81 @@ def _exp_shapiro_taylor(rec: _Recorder):
     )
 
 
+def _lens_law(symbol, spectrum, fit):
+    """Criterion 1's law: (the stretched exponent, whether it lies in
+    [0.45, 0.55] with R^2 >= 0.98, a detail line)."""
+    alpha = fit.params["exponent"]
+    ok = 0.45 <= alpha <= 0.55 and fit.r_squared >= 0.98
+    detail = f"alpha={alpha:.4f} (window [0.45,0.55]), R2={fit.r_squared:.4f} (need >= 0.98)"
+    return alpha, ok, detail
+
+
+def _shapiro_taylor_law(symbol, spectrum, fit):
+    """Criterion 11's law: (the power p, whether p <= theta/2 + 0.3 and
+    n^(theta/2) s_n on [20, 200] stays at or above a quarter of its first
+    value, a detail line)."""
+    theta, power = symbol.theta, fit.params["power"]
+    scaled = np.arange(20, 201, dtype=float) ** (theta / 2.0) * spectrum.values[19:200]
+    ratio = float(scaled.min() / scaled[0])
+    ok = power <= theta / 2.0 + 0.3 and ratio >= 0.25
+    detail = (
+        f"theta={theta:g}: p={power:.2f} (need <= {theta / 2 + 0.3:.2f}), "
+        f"min scaled/first={ratio:.2f} (need >= 0.25)"
+    )
+    return power, ok, detail
+
+
+def _record_law(rec: _Recorder, name, check, symbol, lattice, model, hi, law):
+    """Run `kernel_law` and the `law` clauses for `symbol` on `lattice` (nodes,
+    refinement), record the check `check` and the table `spectrum_<name>`, and
+    return the row of the `laws` table."""
+    nodes, extra = lattice
+    spectrum, refined, fit, move, detail, ok = kernel_law(symbol, nodes, extra, model, hi)
+    param = r_squared = math.nan
+    if fit is not None:
+        param, law_ok, law_detail = law(symbol, spectrum, fit)
+        ok, detail, r_squared = ok and law_ok, f"{law_detail}, {detail}", fit.r_squared
+        fine = np.full(hi, math.nan)
+        fine[: min(hi, len(refined))] = refined.values[:hi]
+        rec.table(
+            f"spectrum_{name}",
+            ["n", "s_n", "refined_s_n"],
+            [(n, spectrum.a(n), fine[n - 1]) for n in range(1, hi + 1)],
+        )
+    rec.check(check, ok, detail)
+    n_refined = 0 if refined is None else len(refined)
+    return symbol, nodes.size, len(spectrum), spectrum.floor, n_refined, move, param, r_squared
+
+
+def _exp_kernel_laws(rec: _Recorder):
+    # criterion 1: Lens(1/2) on 1,781 nodes, refined by 446 at Im = +-1.35
+    lens_nodes = np.concatenate(
+        [
+            strip_lattice(-200.0, 200.0, 0.9, (0.0, 0.6, -0.6)),
+            strip_lattice(-200.0, 200.0, 1.8, (1.1, -1.1)),
+        ]
+    )
+    lens_lattice = (lens_nodes, strip_lattice(-200.0, 200.0, 1.8, (1.35, -1.35)))
+    check = "lens decay law, kernel lower bound, fit on [20,300]"
+    rows = [
+        _record_law(rec, "lens", check, Lens(0.5), lens_lattice, "stretched_exp", 300, _lens_law)
+    ]
+    # criterion 11: Shapiro-Taylor on 790 nodes, refined by 316 at Im = +-1.2
+    st_lattice = (
+        strip_lattice(-10.0, 100.0, 0.7, (0.0, 0.45, -0.45, 0.9, -0.9)),
+        strip_lattice(-10.0, 100.0, 0.7, (1.2, -1.2)),
+    )
+    for theta in (1.5, 2.0):
+        name = f"shapiro_taylor_theta{theta:g}".replace(".", "p")
+        check = f"Shapiro-Taylor polynomial law, theta={theta:g}"
+        symbol = ShapiroTaylor(theta)
+        rows.append(
+            _record_law(rec, name, check, symbol, st_lattice, "poly", 200, _shapiro_taylor_law)
+        )
+    columns = ["symbol", "nodes", "kept", "floor", "refined_kept", "refinement_move"]
+    rec.table("laws", columns + ["exponent_or_power", "r_squared"], rows)
+
+
 REGISTRY = {
     "cusp-diagonal": _exp_cusp_diagonal,
     "lens-trichotomy": _exp_lens_trichotomy,
@@ -744,6 +850,7 @@ REGISTRY = {
     "blaschke-passage": _exp_blaschke_passage,
     "polydisk-pairs": _exp_polydisk_pairs,
     "shapiro-taylor": _exp_shapiro_taylor,
+    "kernel-laws": _exp_kernel_laws,
 }
 
 # the experiments that read `ExperimentConfig.samples`; the others reject it

@@ -42,6 +42,7 @@ __all__ = [
     "hs_norm_sq",
     "kernel_ratio",
     "kernel_lower_bound",
+    "strip_lattice",
     "unboundedness_witness",
 ]
 
@@ -288,6 +289,13 @@ def _cauchy_factor(alpha: np.ndarray):
             log_g[k + 1 :] += np.log(np.abs(ratio))
             phase[k + 1 :] = np.remainder(phase[k + 1 :] + np.angle(ratio), 2.0 * math.pi)
     return r, order
+
+
+def strip_lattice(x_lo, x_hi, dx, rows):
+    """Strip nodes x + iy for `kernel_lower_bound`: x in [x_lo, x_hi] with
+    step dx, on each row y in `rows`."""
+    xs = np.arange(x_lo, x_hi + dx / 2, dx)
+    return np.concatenate([xs + 1j * y for y in rows])
 
 
 def kernel_lower_bound(spec: Symbol, nodes):

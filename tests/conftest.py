@@ -4,12 +4,6 @@ import pytest
 import compoplab as C
 
 
-def strip_lattice(x_lo, x_hi, dx, rows):
-    """Strip nodes x + iy, x in [x_lo, x_hi] with step dx, y in rows."""
-    xs = np.arange(x_lo, x_hi + dx / 2, dx)
-    return np.concatenate([xs + 1j * y for y in rows])
-
-
 def integer_pair_count(a_exp, b_exp, n):
     """Pairs with ceil(j^(1/A)) + ceil(k^(1/B)) <= n-1, counted by their
     multiplicities floor(p^A) - floor((p-1)^A) in a loop over integers: the

@@ -18,15 +18,14 @@ supermultiplicativity loop (4) are not registry rules; they live in
 Criteria 1 and 11 assert two-sided decay laws for boundary-touching
 symbols.  Monomial sections are lower bounds that have not converged in
 the stated ranges and fall under the float64 floor inside them, so these
-two criteria read their spectrum from the reproducing-kernel lower bound
-`kernel_lower_bound` on a lattice of strip nodes instead.  Both check
-the same kernel clauses in `_kernel_law`: the bound keeps a value at every
-index of the fitted range, its float floor lies below every fitted value,
-and a nested refinement of the lattice moves the fitted values by less
-than 1%.  Each keeps its own law clauses.
+two laws are read from the reproducing-kernel lower bound on lattices of
+strip nodes instead, by the registry experiment `kernel-laws`.  Both
+criteria read the checks of one run of it: its rule `kernel_law` keeps a
+value at every index of the fitted range and a nested refinement of the
+lattice moves the fitted values by less than 1%, and each law keeps its
+own clauses.  Criterion 1's time budget applies to the whole run.
 """
 
-import math
 import time
 from pathlib import Path
 
@@ -52,9 +51,8 @@ from compoplab.experiments import (
     witness_growth,
 )
 from compoplab.harmonic import GraphChannel
-from compoplab.operators import build_matrix, kernel_lower_bound, multiplicity_weights
+from compoplab.operators import build_matrix, multiplicity_weights
 from compoplab.spectra import (
-    decay_fit,
     singular_values,
     tensor_lemma_report,
     tensor_merge,
@@ -64,10 +62,9 @@ from compoplab.symbols import (
     Cusp,
     ExplicitSeries,
     Lens,
-    ShapiroTaylor,
     shipped_symbols,
 )
-from conftest import integer_pair_count, strip_lattice, supermultiplicativity_gaps
+from conftest import integer_pair_count, supermultiplicativity_gaps
 from polydisk_oracle import multi_index_oracle
 
 
@@ -95,48 +92,23 @@ def _hits(estimates):
     return [round(e.probability * e.samples) for e in estimates]
 
 
-def _kernel_law(symbol, nodes, extra, model, hi):
-    """The kernel lower bound of `symbol` on `nodes`, its `model` fit on [20, hi],
-    the seconds both took, a detail line, and the clauses criteria 1 and 11
-    share: the bound keeps at least hi values, the float floor lies below
-    s_hi, and the nested refinement by `extra` nodes moves s_20..s_hi by less
-    than 1%.  A bound shorter than hi fails at once, with no fit (None)."""
-    start = time.perf_counter()
-    spectrum = kernel_lower_bound(symbol, nodes)
-    detail = f"kernel lower bound keeps {len(spectrum)} values (need >= {hi})"
-    if len(spectrum) < hi:
-        return spectrum, None, time.perf_counter() - start, detail, False
-    fit = decay_fit(spectrum, model, (20, hi))
-    elapsed = time.perf_counter() - start
-    fine = kernel_lower_bound(symbol, np.append(nodes, extra))
-    delta = math.inf
-    if len(fine) >= hi:
-        delta = float(np.max(np.abs(fine.values[19:hi] / spectrum.values[19:hi] - 1.0)))
-    ok = spectrum.floor < spectrum.a(hi) and delta < 0.01
-    detail += (
-        f" on {spectrum.truncation} nodes, float floor {spectrum.floor:.1e} "
-        f"vs s_{hi}={spectrum.a(hi):.3e}, +{extra.size} nodes at Im=+-{extra.imag.max():g} "
-        f"move s_n on [20,{hi}] by {delta:.1e} relative (need < 1e-2)"
-    )
-    return spectrum, fit, elapsed, detail, ok
+@pytest.fixture(scope="module")
+def kernel_laws(tmp_path_factory):
+    """One `kernel-laws` run, read by criteria 1 and 11."""
+    return run(ExperimentConfig("kernel-laws", out=str(tmp_path_factory.mktemp("runs"))))
 
 
-def test_criterion_01_lens_decay_law():
-    nodes = np.concatenate(
-        [
-            strip_lattice(-200.0, 200.0, 0.9, (0.0, 0.6, -0.6)),
-            strip_lattice(-200.0, 200.0, 1.8, (1.1, -1.1)),
-        ]
-    )
-    extra = strip_lattice(-200.0, 200.0, 1.8, (1.35, -1.35))
-    _, fit, elapsed, detail, ok = _kernel_law(Lens(0.5), nodes, extra, "stretched_exp", 300)
-    if fit is not None:
-        alpha = fit.params["exponent"]
-        ok = ok and 0.45 <= alpha <= 0.55 and fit.r_squared >= 0.98 and elapsed <= 120.0
-        detail = (
-            f"alpha={alpha:.4f} (window [0.45,0.55]), R2={fit.r_squared:.4f} (need >= 0.98), "
-            f"{elapsed:.0f}s (budget 120s); {detail}"
-        )
+def _check(manifest, name):
+    """The run's check called `name`, or a failed stand-in naming the run status."""
+    found = [a for a in manifest.assertions if a["name"] == name]
+    return found[0] if found else {"passed": False, "detail": f"no check; run {manifest.status}"}
+
+
+def test_criterion_01_lens_decay_law(kernel_laws):
+    law = _check(kernel_laws, "lens decay law, kernel lower bound, fit on [20,300]")
+    wall = kernel_laws.wall_time_s
+    ok = law["passed"] and wall <= 120.0
+    detail = f"{law['detail']}; kernel-laws run {wall:.0f}s (budget 120s)"
     assert _report(1, "lens decay law, kernel lower bound, fit on [20,300]", ok, detail), detail
 
 
@@ -244,28 +216,10 @@ def test_criterion_10_unboundedness_witness():
     assert _report(10, "diagonal witness ratio grows like n^(1/4)", ok, detail), detail
 
 
-def test_criterion_11_shapiro_taylor():
-    ok = True
-    details = []
-    nodes = strip_lattice(-10.0, 100.0, 0.7, (0.0, 0.45, -0.45, 0.9, -0.9))
-    extra = strip_lattice(-10.0, 100.0, 0.7, (1.2, -1.2))
-    for theta in (1.5, 2.0):
-        spectrum, fit, _, kernel, kernel_ok = _kernel_law(
-            ShapiroTaylor(theta), nodes, extra, "poly", 200
-        )
-        ok = ok and kernel_ok
-        if fit is None:
-            details.append(f"theta={theta:g}: {kernel}")
-            continue
-        scaled = np.arange(20, 201, dtype=float) ** (theta / 2.0) * spectrum.values[19:200]
-        power_ok = fit.params["power"] <= theta / 2.0 + 0.3
-        scaled_ok = float(scaled.min()) >= 0.25 * float(scaled[0])
-        ok = ok and power_ok and scaled_ok
-        details.append(
-            f"theta={theta:g}: p={fit.params['power']:.2f} "
-            f"(need <= {theta / 2 + 0.3:.2f}), min scaled/first="
-            f"{scaled.min() / scaled[0]:.2f} (need >= 0.25), {kernel}"
-        )
+def test_criterion_11_shapiro_taylor(kernel_laws):
+    laws = [_check(kernel_laws, f"Shapiro-Taylor polynomial law, theta={t:g}") for t in (1.5, 2.0)]
+    ok = all(law["passed"] for law in laws)
+    details = [law["detail"] for law in laws]
     reports, _, hs_oks = hs_dichotomy((1.5, 3.0), 2048)
     ok = ok and all(hs_oks)
     details.append(f"HS trends: theta=1.5 {reports[0].trend}, theta=3 {reports[1].trend}")

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 from compoplab.cli import build_parser, main
-from compoplab.experiments import REGISTRY, ExperimentConfig, run
+from compoplab.experiments import REGISTRY, ExperimentConfig, kernel_law, run
+from compoplab.operators import strip_lattice
+from compoplab.symbols import Lens
 
 
 EXPECTED_IDS = {
@@ -18,6 +20,7 @@ EXPECTED_IDS = {
     "blaschke-passage",
     "polydisk-pairs",
     "shapiro-taylor",
+    "kernel-laws",
 }
 
 
@@ -41,6 +44,29 @@ def test_tensor_lemma_run_writes_tables_and_manifest(tmp_path):
         meta = json.loads(first[2:])
         assert meta["experiment"] == "tensor-lemma"
         assert meta["seed"] == 3
+
+
+# a 135-node lens lattice, far sparser than criterion 1's 1,781 nodes, and
+# its refinement by the rows Im = +-1.1 at the same step
+SPARSE_LENS = (
+    strip_lattice(-20.0, 20.0, 0.9, (0.0, 0.6, -0.6)),
+    strip_lattice(-20.0, 20.0, 0.9, (1.1, -1.1)),
+)
+
+
+def test_kernel_law_fails_on_a_bound_shorter_than_its_range():
+    law = kernel_law(Lens(0.5), *SPARSE_LENS, "stretched_exp", 300)
+    spectrum, refined, fit, _, detail, ok = law
+    assert len(spectrum) == 135 and not ok, detail
+    assert refined is None and fit is None
+
+
+def test_kernel_law_fails_when_the_refinement_moves_the_fitted_values():
+    # the refinement moves s_20..s_40 by 1.5e-2, over the 1e-2 gate
+    law = kernel_law(Lens(0.5), *SPARSE_LENS, "stretched_exp", 40)
+    spectrum, refined, fit, move, detail, ok = law
+    assert len(spectrum) >= 40 and len(refined) >= 40 and fit is not None
+    assert 1e-2 < move < 2e-2 and not ok, detail
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -107,8 +133,13 @@ def test_cli_rejects_missing_or_malformed_arguments(argv):
 @pytest.mark.parametrize(
     "experiment, samples",
     # a count given to an experiment that does not sample would change nothing
-    [("blaschke-passage", 0), ("blaschke-passage", -3), ("tensor-lemma", 5)],
-    ids=["0", "-3", "tensor-lemma-5"],
+    [
+        ("blaschke-passage", 0),
+        ("blaschke-passage", -3),
+        ("tensor-lemma", 5),
+        ("kernel-laws", 5),
+    ],
+    ids=["0", "-3", "tensor-lemma-5", "kernel-laws-5"],
 )
 def test_samples_below_one_is_a_configuration_error(experiment, samples, tmp_path):
     with pytest.raises(ValueError, match="samples"):

@@ -16,6 +16,7 @@ from compoplab.operators import (
     kernel_lower_bound,
     kernel_ratio,
     multiplicity_weights,
+    strip_lattice,
     unboundedness_witness,
 )
 from compoplab.series import _circle_nodes, default_radius, default_sample_count
@@ -30,7 +31,6 @@ from compoplab.symbols import (
 )
 from compoplab.spectra import singular_values, tensor_merge
 from affine_oracle import affine_approximation_numbers, affine_hs_norm_sq
-from conftest import strip_lattice
 from polydisk_oracle import SizeGuardError, multi_index_oracle
 
 HALF = ExplicitSeries([0, 0.5])
