@@ -2,17 +2,20 @@
 
 The region of interest is Omega = {x + iy : x > 0, g(x) < y < g(x) + 4pi}
 with the wall g(t) = pi^2/t: decreasing, g(pi) = pi, g(0+) = +inf and
-g(inf) = 0.  Harmonic measure from the base point pi + 3i pi is sampled
-by jumping to uniform points on disks of certified radius until
-absorption within 1e-6 of the boundary; the boundary set
-{e^{-Re w} > 1 - h} then measures the level sets of the induced symbol
-e^{-f} without constructing the conformal map f.  The walks run in
-cohorts, so memory does not grow with their number.
+g(inf) = 0.  Both walls are hyperbolas, xy = pi^2 and x(y - 4pi) = pi^2.
+Harmonic measure from the base point pi + 3i pi is sampled by jumping to
+uniform points on disks of certified radius, read from the two
+hyperbolas' quadratics, until absorption within 1e-6 of the boundary;
+the boundary set {e^{-Re w} > 1 - h} then measures the level sets of the
+induced symbol e^{-f} without constructing the conformal map f.  The
+walks run in cohorts, so memory does not grow with their number, and
+two threads share each step's draw of angles.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -30,11 +33,16 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
+PI_SQ = math.pi**2
+# times xy + 4pi x + pi^2, twice a bound on the rounding of either wall's F
+# in GraphChannel.distance_vector: 16pi x + 5pi^2 + 2xy unit roundoffs,
+# for x, y > 0 with xy > pi^2
+_F_ROUNDING = 2.0**-50
 # a walk is absorbed once its certified radius drops below _EPS_ABSORB; one
 # still active after _STEP_CAP steps is stopped and left out of the estimate
 _EPS_ABSORB = 1e-6
 _STEP_CAP = 10**6
-# walks per block of _absorb_and_compact: the ~30 temporaries of
+# walks per block of _absorb_and_compact: the temporaries of
 # GraphChannel.distance_vector on one block stay in cache instead of
 # streaming whole-ensemble arrays
 _DISTANCE_BLOCK = 8192
@@ -42,6 +50,8 @@ _DISTANCE_BLOCK = 8192
 # one cohort; each cohort pays its own tail of a few long walks, about 200
 # steps of mostly Python overhead, so smaller cohorts cost run time
 _COHORT = 2**18
+# angles per chunk of one step's draw, which both threads take in turn
+_DRAW_CHUNK = 2**15
 
 
 @dataclass(frozen=True)
@@ -111,47 +121,32 @@ class GraphChannel:
 
     def g(self, t):
         """The lower wall pi^2/t, on arrays."""
-        return math.pi**2 / t
-
-    def g_slope_bound(self, lo, hi):
-        """A bound on sup |g'| over [lo, hi]: |g'(t)| = pi^2/t^2 decreases,
-        so the sup sits at lo."""
-        return math.pi**2 / lo**2
+        return PI_SQ / t
 
     def distance_vector(self, p: np.ndarray) -> np.ndarray:
-        """Certified lower bound on dist(p, boundary).
+        """Certified lower bound on dist(p, boundary), read from the walls.
 
-        With gap the smaller vertical gap to the two walls and L(t) the
-        slope bound over [x - t, x + t], every t <= cap = min(x/2, gap)
-        certifies r = min(t, h(t)), h(t) = gap / sqrt(1 + L(t)^2): boundary
-        points with |u - x| > r are more than r away, and those within lie
-        on graphs of slope at most L(t), since [x - r, x + r] lies in
-        [x - t, x + t], so their distance is at least h(t) >= r.  The
-        largest such r is the fixed point of the decreasing h, which lies in
-        [lo, hi] with lo = min(cap, h(cap)) and hi = min(cap, h(lo)).  One
-        secant step aims at it: t is where the chord of h through
-        (lo, h(lo)) and (cap, h(cap)) meets the identity, clipped into
-        [lo, hi]; where cap = lo the quotient is 0/0, and t = lo.
-        The radius is max(lo, min(t, h(t))), three evaluations of h.
+        Both walls are hyperbolas, xy = pi^2 and x(y - 4pi) = pi^2, so Omega
+        is {F_lo > 0} and {F_up > 0} with F_lo = xy - pi^2 and
+        F_up = pi^2 - x(y - 4pi); for x <= 0 the two contradict each other.
+        Each F is a quadratic whose second-order part, +-dx dy, is at least
+        -r^2/2 on the disk |d| <= r, so F(p + d) >= F - G r - r^2/2 with
+        G = |grad F(p)|, |p| for the lower wall and |p - 4pi i| for the
+        upper.  The disk stays inside while r <= 2F/(G + sqrt(G^2 + 2F)),
+        the radius given for each wall; the smaller of the two is returned.
+        Each F is first lowered by 2^-50 (xy + 4pi x + pi^2), twice a bound
+        on its rounding for x, y > 0: near a wall F cancels to G times the
+        distance, so that rounding would otherwise stand in the radius.
+        The rest of the rounding is relative, a few ulps of the radius.
         """
         x, y = p.real, p.imag
-        g = self.g(x)
-        gap = np.minimum(y - g, g + FOUR_PI - y)
-
-        def h(delta):
-            slope = self.g_slope_bound(x - delta, x + delta)
-            return gap / np.sqrt(1.0 + slope * slope)
-
-        cap = np.minimum(x * 0.5, gap)
-        h_cap = h(cap)
-        lo = np.minimum(cap, h_cap)
-        h_lo = h(lo)
-        width = cap - lo
-        with np.errstate(invalid="ignore"):
-            t = lo + (h_lo - lo) * width / (width - (h_cap - h_lo))
-        # fmax drops the 0/0 of cap = lo
-        t = np.minimum(np.fmax(t, lo), np.minimum(cap, h_lo))
-        return np.maximum(lo, np.minimum(t, h(t)))
+        xy = x * y
+        s = FOUR_PI * x + PI_SQ
+        margin = (xy + s) * _F_ROUNDING
+        xx = x * x
+        lower = _wall_radius(xy - PI_SQ - margin, xx + y * y)
+        upper = _wall_radius(s - xy - margin, xx + (y - FOUR_PI) ** 2)
+        return np.minimum(lower, upper)
 
     def far_mask(self, p: np.ndarray) -> np.ndarray:
         return p.real > self.far_x
@@ -167,6 +162,13 @@ class GraphChannel:
             w_top * pred(top).astype(float) + (1.0 - w_top) * pred(bottom).astype(float)
             for pred in predicates
         ]
+
+
+def _wall_radius(f: np.ndarray, g_sq: np.ndarray) -> np.ndarray:
+    """The largest r with f - G r - r^2/2 >= 0, G = sqrt(g_sq), in the form
+    2f/(G + sqrt(G^2 + 2f)) that does not cancel when f is small."""
+    f2 = f + f
+    return f2 / (np.sqrt(g_sq) + np.sqrt(g_sq + f2))
 
 
 def _iteration_rng(seed: int, iteration: int) -> np.random.Generator:
@@ -187,6 +189,35 @@ def _unit_steps(seed: int, iteration: int, offset: int, out: np.ndarray) -> None
     angles *= TWO_PI
     np.sin(angles, out=sin)
     np.cos(angles, out=angles)
+
+
+class _StepDraw:
+    """The draw of step `iteration` into out, cut into chunks of _DRAW_CHUNK
+    columns that threads take from one cursor: column j gets the cos and
+    sin of angle offset + j of the step's Philox stream, whichever thread
+    draws it."""
+
+    def __init__(self, seed: int, iteration: int, offset: int, out: np.ndarray):
+        self.seed, self.iteration, self.offset, self.out = seed, iteration, offset, out
+        self.stop = out.shape[1]
+        self.cursor = 0
+        self.lock = threading.Lock()
+
+    def run(self) -> None:
+        """Draw chunks until the cursor reaches the stop."""
+        while True:
+            with self.lock:
+                start = self.cursor
+                if start >= self.stop:
+                    return
+                self.cursor = end = min(start + _DRAW_CHUNK, self.stop)
+            _unit_steps(self.seed, self.iteration, self.offset + start, self.out[:, start:end])
+
+    def finish(self, n: int) -> None:
+        """Stop the cursor at column n, then draw what is left before it."""
+        with self.lock:
+            self.stop = min(self.stop, n)
+        self.run()
 
 
 def _absorb_and_compact(region, p: np.ndarray, d: np.ndarray, n: int):
@@ -242,12 +273,16 @@ def wos_harmonic_measures(
     distances (float64) and two draw buffers of cos and sin (2 x 2
     float64).  At step k a cohort enters the Philox stream of (seed, k) at
     the count of earlier cohorts' walks that drew at step k.  A draw of n
-    values begins with the draw of any m <= n, so one worker thread fills
-    one draw buffer for the n walks active at step k while the calling
-    thread applies step k - 1 from the other and absorbs, one
+    values begins with the draw of any m <= n, so one worker thread starts
+    to fill one draw buffer for the n walks active at step k while the
+    calling thread applies step k - 1 from the other and absorbs, one
     _DISTANCE_BLOCK at a time; the m survivors of step k use the first m.
-    Each step's far-field score arrays, in cohort order, and hit counts
-    are added in step order at the end, as one ensemble would add them.
+    The draw is cut into chunks of _DRAW_CHUNK angles that both threads
+    take from one cursor, each chunk entering the stream at its own
+    offset: once its absorb pass is done, the calling thread stops the
+    cursor at m and draws beside the worker.  Each step's far-field score
+    arrays, in cohort order, and hit counts are added in step order at the
+    end, as one ensemble would add them.
     """
     if samples < 1:
         raise ValueError("need at least one trajectory")
@@ -266,7 +301,8 @@ def wos_harmonic_measures(
             n = min(size, samples - first)
             p[:n] = region.base_point
             iteration = 0
-            steps = pool.submit(_unit_steps, seed, 0, drawn.get(0, 0), draws[0, :, :n])
+            draw = _StepDraw(seed, 0, drawn.get(0, 0), draws[0, :, :n])
+            steps = pool.submit(draw.run)
             while True:
                 far = region.far_mask(p[:n])
                 if np.any(far):
@@ -284,6 +320,7 @@ def wos_harmonic_measures(
                     for i, pred in enumerate(targets):
                         tally[i] += np.count_nonzero(pred(hit))
                 drawn[iteration] = drawn.get(iteration, 0) + n
+                draw.finish(n)
                 steps.result()
                 cos_a, sin_a = draws[iteration % 2, :, :n]
                 iteration += 1
@@ -292,9 +329,11 @@ def wos_harmonic_measures(
                 if iteration >= _STEP_CAP:
                     n_capped += n
                     break
-                # the next step's draw runs while this one is applied
-                draw = draws[iteration % 2, :, :n]
-                steps = pool.submit(_unit_steps, seed, iteration, drawn.get(iteration, 0), draw)
+                # the next step's draw starts while this one is applied
+                draw = _StepDraw(
+                    seed, iteration, drawn.get(iteration, 0), draws[iteration % 2, :, :n]
+                )
+                steps = pool.submit(draw.run)
                 np.multiply(d[:n], cos_a, out=cos_a)
                 np.multiply(d[:n], sin_a, out=sin_a)
                 p[:n].real += cos_a

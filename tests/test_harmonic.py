@@ -1,18 +1,21 @@
 import math
+import sys
 import threading
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
 
 from compoplab import harmonic
 from compoplab.experiments import harness_pair, spiral_ensemble, tail_slope
 from compoplab.harmonic import (
     _DISTANCE_BLOCK,
+    _F_ROUNDING,
     _iteration_rng,
     _unit_steps,
     FOUR_PI,
+    PI_SQ,
     TWO_PI,
     DiskRegion,
     GraphChannel,
@@ -45,28 +48,19 @@ def _contains(channel, p) -> np.ndarray:
 
 
 def _wall_contract_breaches(channel) -> list:
-    """The clauses of the wall contract the distance certificate rests on
-    that `channel` breaks, on 64 log-spaced points of [1e-4, 1e6]: g strictly
-    decreasing, g(pi) = pi, g blowing up at 0+ and vanishing at infinity,
-    g_slope_bound at least every secant slope of g, and the base point
-    inside the channel."""
+    """The clauses of the wall contract the far-field scores and covering
+    counts rest on that `channel` breaks, on 64 log-spaced points of
+    [1e-4, 1e6]: g strictly decreasing, g(pi) = pi, g blowing up at 0+ and
+    vanishing at infinity, and the base point inside the channel."""
     grid = np.geomspace(1e-4, 1e6, 64)
     vals = np.asarray(channel.g(grid), dtype=float)
-    secant = np.abs(np.diff(vals)) / np.diff(grid)
     clauses = {
         "decreasing": np.all(np.diff(vals) < 0),
         "g(pi) = pi": abs(float(channel.g(np.array([PI]))[0]) - PI) <= 1e-9,
         "blow-up and decay": vals[0] >= 100.0 and vals[-1] <= 0.1,
-        "slope bound": np.all(np.asarray(channel.g_slope_bound(grid[:-1], grid[1:])) >= secant),
         "base point inside": _contains(channel, [channel.base_point])[0],
     }
     return [name for name, ok in clauses.items() if not ok]
-
-
-# a valid but doubled slope bound
-DOUBLED_BOUND = _variant(
-    GraphChannel, g_slope_bound=lambda self, lo, hi: 2 * GraphChannel.g_slope_bound(self, lo, hi)
-)
 
 
 def test_default_channel_meets_the_wall_contract(channel):
@@ -75,18 +69,29 @@ def test_default_channel_meets_the_wall_contract(channel):
 
 def test_channel_validation():
     # the contract check can fail: an increasing wall, and a base point on it
-    increasing = _variant(GraphChannel, g=lambda self, t: t, g_slope_bound=lambda self, lo, hi: 1.0)
+    increasing = _variant(GraphChannel, g=lambda self, t: t)
     assert "decreasing" in _wall_contract_breaches(increasing)
     on_wall = _variant(GraphChannel, base_point=complex(PI, PI))
     assert _wall_contract_breaches(on_wall) == ["base point inside"]
 
 
-def test_channel_rejects_slope_bound_below_secant():
-    # pi^2/hi^2 is |g'| at the flat end of each interval, below the
-    # secant slope pi^2/(lo*hi); twice the exact bound meets the contract
-    low = _variant(GraphChannel, g_slope_bound=lambda self, lo, hi: PI**2 / hi**2)
-    assert _wall_contract_breaches(low) == ["slope bound"]
-    assert _wall_contract_breaches(DOUBLED_BOUND) == []
+def test_channel_is_where_both_wall_quadratics_are_positive(channel, rng):
+    # the certificate's premise: Omega = {F_lo > 0} and {F_up > 0}, with
+    # F_lo = xy - pi^2 and F_up = pi^2 - x(y - 4pi), on points inside, on
+    # either side of either wall, and at x < 0, where F_lo > 0 needs
+    # y < pi^2/x but F_up > 0 needs y > pi^2/x + 4pi
+    x = np.exp(rng.uniform(math.log(1e-3), math.log(1e4), 3000))
+    offset = rng.uniform(-4 * PI, 8 * PI, x.size)
+    left = -np.exp(rng.uniform(math.log(1e-3), math.log(1e4), 1000))
+    p = np.concatenate(
+        [x + 1j * (channel.g(x) + offset), left + 1j * rng.uniform(-100.0, 100.0, left.size)]
+    )
+    x, y = p.real, p.imag
+    quadratics = (x * y - PI**2 > 0) & (PI**2 - x * (y - 4 * PI) > 0)
+    inside = _contains(channel, p)
+    assert np.array_equal(quadratics, inside)
+    # a third of the points right of x = 0 lie between the walls
+    assert 800 < np.count_nonzero(inside) < 1200
 
 
 def _distance(channel, p):
@@ -107,70 +112,104 @@ def test_distance_flat_channel_limit(channel):
     assert d == pytest.approx(2 * PI, rel=1e-2)
 
 
-def _wall_distance(channel, p):
-    """dist(p, boundary): for each wall, the nearest of 2001 points on it
-    within the vertical gap's horizon, refined by a bounded minimisation
-    over the horizontal offset (so the tolerance scales with the offset)."""
+def _wall_distance(p) -> float:
+    """dist(p, boundary) in 40 digits.  Along the wall (u, pi^2/u + s),
+    s = 0 or 4pi, the squared distance to p = x + iy is least at one of its
+    critical points, the positive real roots of
+    u^4 - x u^3 + pi^2 (y - s) u - pi^4 = 0.  mpmath's Durand-Kerner
+    iteration, started from numpy's float roots, refines all four to the
+    working precision or raises."""
+    x, y = float(p.real), float(p.imag)
+    best = mpmath.inf
+    with mpmath.workdps(40):
+        pi_sq = mpmath.pi**2
+        for shift, s in ((0.0, mpmath.mpf(0)), (4 * PI, 4 * mpmath.pi)):
+            start = np.roots([1.0, -x, 0.0, PI**2 * (y - shift), -(PI**4)])
+            coeffs = [1, -x, 0, pi_sq * (y - s), -pi_sq * pi_sq]
+            for u in mpmath.polyroots(coeffs, roots_init=start):
+                if isinstance(u, mpmath.mpf) and u > 0:
+                    best = min(best, (u - x) ** 2 + (pi_sq / u + s - y) ** 2)
+        return float(mpmath.sqrt(best))
+
+
+def _certified_radius(p, mutant=None):
+    """GraphChannel.distance_vector, the same operations in the same order,
+    or one of its mutants: "linear" drops the r^2/2 term (r = F/G),
+    "half-gradient" halves G, and "no-margin" leaves F unlowered."""
     x, y = p.real, p.imag
-    best = math.inf
-    for shift in (0.0, 4 * PI):
+    xy = x * y
+    s = FOUR_PI * x + PI_SQ
+    margin = 0.0 if mutant == "no-margin" else (xy + s) * _F_ROUNDING
+    xx = x * x
+    radii = []
+    for f, g_sq in ((xy - PI_SQ - margin, xx + y * y), (s - xy - margin, xx + (y - FOUR_PI) ** 2)):
+        if mutant == "half-gradient":
+            g_sq = g_sq * 0.25
+        f2 = f + f
+        if mutant == "linear":
+            radii.append(f / np.sqrt(g_sq))
+        else:
+            radii.append(f2 / (np.sqrt(g_sq) + np.sqrt(g_sq + f2)))
+    return np.minimum(*radii)
 
-        def sq(s, shift=shift):
-            return s * s + (channel.g(x + s) + shift - y) ** 2
 
-        # the wall point straight above or below p is r away
-        r = abs(float(channel.g(np.array([x]))[0]) + shift - y)
-        s = np.linspace(max(-r, -x * (1.0 - 1e-9)), r, 2001)
-        vals = sq(s)
-        i = int(np.argmin(vals))
-        fine = minimize_scalar(
-            sq,
-            bounds=(s[max(i - 1, 0)], s[min(i + 1, s.size - 1)]),
-            method="bounded",
-            options={"xatol": 1e-18},
+@pytest.fixture(scope="module")
+def wall_points():
+    """(points, their exact distances): 400 interior points at x in
+    [0.05, 50], then 200 points 1e-5 to 1e-2 above the lower wall or below
+    the upper one, then 100 points 1e-12 to 1e-9 from a wall, where the
+    rounding of F shows."""
+    rng = np.random.default_rng(20261021)
+    channel = GraphChannel()
+    x = np.exp(rng.uniform(math.log(0.05), math.log(50.0), 700))
+    y = channel.g(x) + rng.uniform(0.0, 1.0, x.size) * 4 * PI
+    gap = np.exp(
+        np.concatenate(
+            [
+                rng.uniform(math.log(1e-5), math.log(1e-2), 200),
+                rng.uniform(math.log(1e-12), math.log(1e-9), 100),
+            ]
         )
-        best = min(best, math.sqrt(min(vals[i], float(fine.fun))))
-    return best
+    )
+    upper = rng.uniform(size=gap.size) < 0.5
+    y[400:] = channel.g(x[400:]) + np.where(upper, 4 * PI - gap, gap)
+    p = x + 1j * y
+    assert np.all(_contains(channel, p))
+    return p, np.array([_wall_distance(q) for q in p])
+
+
+def _certificate_breaches(d, p, true) -> list:
+    """The clauses of the distance certificate that radii d break at the
+    points p of wall_points, whose distances are true."""
+    # up to the rounding of the walls' heights, which is all p resolves
+    slack = 4.0 * np.spacing(np.abs(p.imag))
+    clauses = {
+        "positive": np.all(d > 0.0),
+        "at most the distance": np.all(d <= true + slack),
+        "at most the distance within 1e-9 of a wall": np.all(d[600:] <= true[600:]),
+        # 1e-5 to 1e-2 from a wall the certificate is tight to within O(gap);
+        # it reads at least 0.9991 there, the slope bound's at least 0.9
+        "tight near the walls": np.min(d[400:600] / true[400:600]) > 0.99,
+    }
+    return [name for name, ok in clauses.items() if not ok]
 
 
 @pytest.mark.parametrize(
-    "region, tightness",
+    "mutant, breaches",
     [
-        (GraphChannel(), 0.9),
-        # a more curved wall, so the secant meets a more curved h
-        (
-            _variant(
-                GraphChannel,
-                g=lambda self, t: PI**3 / t**2,
-                g_slope_bound=lambda self, lo, hi: 2 * PI**3 / lo**3,
-            ),
-            0.9,
-        ),
-        # near a steep wall the doubled bound certifies only about half the distance
-        (DOUBLED_BOUND, 0.45),
+        (None, []),
+        ("linear", ["at most the distance"]),
+        ("half-gradient", ["at most the distance", "at most the distance within 1e-9 of a wall"]),
+        ("no-margin", ["at most the distance within 1e-9 of a wall"]),
     ],
-    ids=["default", "steeper-wall", "doubled-slope-bound"],
+    ids=["default", "linear", "half-gradient", "no-margin"],
 )
-def test_distance_is_certified_lower_bound(region, tightness, rng):
-    assert _wall_contract_breaches(region) == []
-    # interior points, and points 1e-5 to 1e-2 above the lower wall or
-    # below the upper one, where the bound is within O(gap) of the distance
-    x = np.exp(rng.uniform(math.log(0.05), math.log(50.0), 400))
-    y = region.g(x) + rng.uniform(0.0, 1.0, x.size) * 4 * PI
-    x_wall = np.exp(rng.uniform(math.log(0.05), math.log(50.0), 200))
-    gap = np.exp(rng.uniform(math.log(1e-5), math.log(1e-2), x_wall.size))
-    upper = rng.uniform(size=x_wall.size) < 0.5
-    y_wall = region.g(x_wall) + np.where(upper, 4 * PI - gap, gap)
-    p = np.concatenate([x + 1j * y, x_wall + 1j * y_wall])
-    assert np.all(_contains(region, p))
-    d = region.distance_vector(p)
-    true = np.array([_wall_distance(region, q) for q in p])
-    assert np.all(d > 0.0)
-    # up to the rounding of the walls' heights, which is all p resolves
-    slack = 4.0 * np.spacing(np.abs(p.imag))
-    assert np.all(d <= true + slack), np.max((d - true) / slack)
-    # near the walls the certificate is tight to within O(gap)
-    assert np.min(d[x.size :] / true[x.size :]) > tightness
+def test_distance_is_certified_lower_bound(channel, wall_points, mutant, breaches):
+    # the channel's own radius meets every clause; each mutant of its
+    # formula breaks some
+    p, true = wall_points
+    d = channel.distance_vector(p) if mutant is None else _certified_radius(p, mutant)
+    assert _certificate_breaches(d, p, true) == breaches
 
 
 class _RecordingRegion:
@@ -189,85 +228,41 @@ class _RecordingRegion:
 
 
 def test_distance_is_tight_where_walks_step(channel):
-    # most walk steps are taken at x in [0.5, 2], where the wall is steep
-    # and the slope bound over the horizon matters; there the radius after
-    # the first shrink of the horizon alone has a median of 0.32 of the
-    # true distance
+    # most walk steps are taken at x in [0.5, 2], where the wall is steep;
+    # there the radius is a median 0.9997 of the true distance (the slope
+    # bound read 0.990), and without the rounding margin one of these
+    # positions, 2.9e-8 from a wall, reads 1 + 1.1e-9
     region = _RecordingRegion(channel)
     wos_harmonic_measures(region, [lambda p: p.imag > 0], samples=500, seed=3)
     positions = np.concatenate(region.points)
     steep = positions[(positions.real >= 0.5) & (positions.real <= 2.0)]
     assert steep.size > 0.5 * positions.size
     sample = steep[:: steep.size // 300][:300]
-    ratio = channel.distance_vector(sample) / [_wall_distance(channel, q) for q in sample]
+    ratio = channel.distance_vector(sample) / [_wall_distance(q) for q in sample]
     assert np.all(ratio <= 1.0)
-    assert np.median(ratio) >= 0.9, np.median(ratio)
-
-
-class _CountingChannel(GraphChannel):
-    """The default channel, counting its slope-bound calls."""
-
-    calls = 0
-
-    def g_slope_bound(self, lo, hi):
-        self.calls += 1
-        return super().g_slope_bound(lo, hi)
+    assert np.median(ratio) >= 0.999, np.median(ratio)
 
 
 @pytest.fixture(scope="module")
 def spiral_walks():
-    """(walk positions, g_slope_bound calls) of the spiral ensemble at
-    2x10^4 walks, seed 2028, on the default channel."""
-    channel = _CountingChannel()
-    region = _RecordingRegion(channel)
+    """The walk positions of the spiral ensemble at 2x10^4 walks, seed 2028,
+    on the default channel, as the list of blocks asked for distances."""
+    region = _RecordingRegion(GraphChannel())
     spiral_ensemble(region, 2 * 10**4, seed=2028)
-    return region.points, channel.calls
+    return region.points
 
 
 def test_spiral_ensemble_step_budget(spiral_walks):
-    # the largest certified radius keeps walks short: the first shrink of
-    # the horizon alone took 114.2 steps per walk on this ensemble
-    points, _ = spiral_walks
-    assert sum(p.size for p in points) / (2 * 10**4) <= 50.0
+    # the first shrink of the slope-bound horizon alone took 114.2 steps
+    # per walk on this ensemble
+    assert sum(p.size for p in spiral_walks) / (2 * 10**4) <= 50.0
 
 
-def _certificate(channel, p):
-    """(cap, h) of the distance certificate: every t <= cap = min(x/2, gap)
-    certifies the radius min(t, h(t)), h(t) = gap / sqrt(1 + L(t)^2)."""
-    x, y = p.real, p.imag
-    g = channel.g(x)
-    gap = np.minimum(y - g, g + FOUR_PI - y)
-
-    def h(delta):
-        slope = channel.g_slope_bound(x - delta, x + delta)
-        return gap / np.sqrt(1.0 + slope * slope)
-
-    return np.minimum(x * 0.5, gap), h
-
-
-def _bisected_certified_radius(channel, p, rounds=40):
-    """The largest t <= cap with t <= h(t), by bisection."""
-    hi, h = _certificate(channel, p)
-    lo = np.zeros_like(hi)
-    for _ in range(rounds):
-        mid = 0.5 * (lo + hi)
-        ok = mid <= h(mid)
-        lo = np.where(ok, mid, lo)
-        hi = np.where(ok, hi, mid)
-    return lo
-
-
-def test_distance_reaches_the_largest_certified_radius(channel, spiral_walks):
-    # three geometric bisection steps inside the same bracket reach only
-    # 0.849 of it on these positions, at five slope-bound calls per block
-    points, calls = spiral_walks
-    positions = np.concatenate(points)
-    ratio = channel.distance_vector(positions) / _bisected_certified_radius(channel, positions)
-    assert np.min(ratio) >= 0.95, np.min(ratio)
-    # and never above it, up to the bisection's resolution
-    assert np.max(ratio) <= 1.0 + 1e-9, np.max(ratio)
-    blocks = sum(-(-p.size // _DISTANCE_BLOCK) for p in points)
-    assert calls <= 3 * blocks, calls / blocks
+def test_spiral_ensemble_steps_on_the_wall_hyperbolas(spiral_walks):
+    # 29.54 distance evaluations per walk on this ensemble; the slope bound
+    # took 36.54
+    steps = sum(p.size for p in spiral_walks) / (2 * 10**4)
+    assert steps <= 30.0, steps
 
 
 def test_distance_rejects_outside_points(channel):
@@ -412,28 +407,12 @@ def test_every_walk_capped_names_the_count(monkeypatch):
     assert est.samples + est.n_step_capped == 100 and est.samples > 0 and est.n_step_capped > 0
 
 
-def _unblocked_channel_distance(channel, p):
-    """GraphChannel.distance_vector as one pass over the whole array."""
-    cap, h = _certificate(channel, p)
-    h_cap = h(cap)
-    lo = np.minimum(cap, h_cap)
-    h_lo = h(lo)
-    hi = np.minimum(cap, h_lo)
-    # the secant of h through (lo, h(lo)) and (cap, h(cap)) meets the
-    # identity at t; where cap = lo the quotient is 0/0, and t = lo
-    width = cap - lo
-    with np.errstate(invalid="ignore"):
-        t = lo + (h_lo - lo) * width / (width - (h_cap - h_lo))
-    t = np.where(np.isnan(t), lo, np.clip(t, lo, hi))
-    return np.maximum(lo, np.minimum(t, h(t)))
-
-
 def _reference_walks(region, targets, samples, seed, step_cap):
     """The engine before its angle draws moved to a worker thread: Philox
     angles drawn for the survivors only, a complex-exp step, and the
-    unblocked channel distance.  Returns (scores, n_far, n_capped)."""
+    test-side copy of the channel distance.  Returns (scores, n_far, n_capped)."""
     if isinstance(region, GraphChannel):
-        distance = lambda p: _unblocked_channel_distance(region, p)  # noqa: E731
+        distance = _certified_radius
     else:
         distance = region.distance_vector
     scores = np.zeros(len(targets))
@@ -581,6 +560,95 @@ def test_cohorts_bit_identical_to_reference_engine(
     _assert_walks_are_the_reference(region, predicates, samples, step_cap, monkeypatch)
 
 
+def _drawing_threads(monkeypatch) -> set:
+    """The set, filled as the engine runs, of the threads that draw chunks."""
+    threads = set()
+    draw = harmonic._unit_steps
+
+    def recorded(*args):
+        threads.add(threading.get_ident())
+        draw(*args)
+
+    monkeypatch.setattr(harmonic, "_unit_steps", recorded)
+    return threads
+
+
+# a multiple of neither the 4 doubles of one Philox counter step nor the
+# cohort, and small, so both threads draw several chunks in most steps
+_SMALL_CHUNK = 997
+
+
+@_ENGINE_CASES
+def test_walks_bit_identical_in_shared_draw_chunks(
+    region, predicates, samples, step_cap, monkeypatch
+):
+    monkeypatch.setattr(harmonic, "_DRAW_CHUNK", _SMALL_CHUNK)
+    threads = _drawing_threads(monkeypatch)
+    test_walks_bit_identical_to_reference_engine(
+        region, predicates, samples, step_cap, monkeypatch
+    )
+    assert len(threads) == 2
+
+
+@_ENGINE_CASES
+def test_cohorts_bit_identical_in_shared_draw_chunks(
+    region, predicates, samples, step_cap, monkeypatch
+):
+    monkeypatch.setattr(harmonic, "_DRAW_CHUNK", _SMALL_CHUNK)
+    threads = _drawing_threads(monkeypatch)
+    test_cohorts_bit_identical_to_reference_engine(
+        region, predicates, samples, step_cap, monkeypatch
+    )
+    assert len(threads) == 2
+
+
+def test_step_draw_hands_out_each_column_once(monkeypatch):
+    # three threads and the caller, on two cores, take 7-angle chunks of one
+    # step's draw while switching every microsecond.  The threads each hold
+    # a chunk when the caller stops the cursor at 3001 of 4000 columns, and
+    # go on once the caller draws; every column before the stop is drawn
+    # once, by whichever thread, as the stream's angle at its offset
+    monkeypatch.setattr(harmonic, "_DRAW_CHUNK", 7)
+    calling = threading.get_ident()
+    chunks = []
+    held = threading.Semaphore(0)
+    go = threading.Event()
+    draw = harmonic._unit_steps
+
+    def recorded(seed, iteration, offset, out):
+        chunks.append((offset - 11, out.shape[1]))
+        if threading.get_ident() == calling:
+            go.set()
+        elif not go.is_set():
+            held.release()
+            go.wait(timeout=60)
+        draw(seed, iteration, offset, out)
+
+    monkeypatch.setattr(harmonic, "_unit_steps", recorded)
+    out = np.full((2, 4000), np.nan)
+    step = harmonic._StepDraw(7, 3, 11, out)
+    workers = [threading.Thread(target=step.run) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        assert all(held.acquire(timeout=60) for _ in workers)
+        step.finish(3001)
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        go.set()
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    # 428 chunks of 7 and a last one of 5
+    assert sorted(chunks) == [(start, min(7, 3001 - start)) for start in range(0, 3001, 7)]
+    want = np.empty((2, 3001))
+    _unit_steps(7, 3, 11, want)
+    assert _same_bits(out[:, :3001], want)
+    assert np.all(np.isnan(out[:, 3001:]))
+
+
 @pytest.mark.parametrize("n", [1, 2, 8192, 10**5])
 def test_philox_draw_begins_with_every_shorter_draw(n):
     offsets = (0, 1, 2, 3, 4, 5, 8191)
@@ -647,7 +715,7 @@ def test_blocked_channel_distance_is_the_unblocked_formula(channel, rng, size):
     y = channel.g(x) + rng.uniform(0.0, 1.0, size) * 4 * PI
     p = x + 1j * y
     got = channel.distance_vector(p)
-    want = _unblocked_channel_distance(channel, p)
+    want = _certified_radius(p)
     assert got.shape == want.shape == (size,)
     assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
 
@@ -663,6 +731,22 @@ def test_worker_thread_ends_on_every_exit(monkeypatch):
     assert threading.active_count() == before
     wos_harmonic_measures(DiskRegion(), [lambda p: p.real > 0], samples=1000, seed=2)
     assert threading.active_count() == before
+    # a draw that fails in the calling thread, while the worker holds
+    # chunks of the same step
+    calling = threading.get_ident()
+    draw = harmonic._unit_steps
+
+    def failing_draw(*args):
+        if threading.get_ident() == calling:
+            raise ValueError("draw failed")
+        draw(*args)
+
+    monkeypatch.setattr(harmonic, "_DRAW_CHUNK", _SMALL_CHUNK)
+    monkeypatch.setattr(harmonic, "_unit_steps", failing_draw)
+    with pytest.raises(ValueError, match="draw failed"):
+        wos_harmonic_measures(DiskRegion(), [lambda p: p.real > 0], samples=10**5, seed=2)
+    assert threading.active_count() == before
+    monkeypatch.setattr(harmonic, "_unit_steps", draw)
     monkeypatch.setattr(harmonic, "_STEP_CAP", 1)
     with pytest.raises(RuntimeError, match="all 100 walks hit the step cap of 1 "):
         wos_harmonic_measures(DiskRegion(), [lambda p: p.real > 0], samples=100)
