@@ -298,15 +298,16 @@ def tail_slope(ys, tails):
 
 def level_constant(region: GraphChannel, hs, levels):
     """(shape e^(alpha - g(2h)), level probabilities, fitted constant c_hat,
-    the marker " (vacuous)" when no level target has a hit, else "", whether
-    c_hat is finite and every probability is at most 1e-3 and at most
-    max(c_hat, 1) * shape + 1e-15)."""
+    a note, whether c_hat is finite and every probability is at most 1e-3
+    and at most max(c_hat, 1) * shape + 1e-15).  c_hat is the largest
+    p/shape, so on positive shapes the last clause holds by construction;
+    the note says so, then adds " (vacuous)" when no level target has a hit."""
     g2h = region.g(2.0 * np.asarray(hs))
     shape = np.exp(region.alpha - g2h)
     probs = np.array([e.probability for e in levels])
     with np.errstate(divide="ignore", invalid="ignore"):
         c_hat = float(np.max(np.where(shape > 0, probs / shape, 0.0)))
-    note = "" if np.any(probs > 0) else " (vacuous)"
+    note = " (one constant: implied by c_hat)" + ("" if np.any(probs > 0) else " (vacuous)")
     single = np.all(probs <= max(c_hat, 1.0) * shape + 1e-15)
     return shape, probs, c_hat, note, bool(single and np.all(probs <= 1e-3) and math.isfinite(c_hat))
 

@@ -9,11 +9,14 @@ hyperbolas' quadratics, until absorption within 1e-6 of the boundary;
 the boundary set {e^{-Re w} > 1 - h} then measures the level sets of the
 induced symbol e^{-f} without constructing the conformal map f.  The
 walks run in cohorts, so memory does not grow with their number, and
-two threads share each step's draw of angles.
+two threads share each step's draw of angles.  Hits are counted exactly
+and far-field scores summed exactly rounded, so the totals do not depend
+on how the walks are cut into cohorts and blocks.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -221,21 +224,28 @@ class _StepDraw:
 
 
 def _absorb_and_compact(region, p: np.ndarray, d: np.ndarray, n: int):
-    """Absorb the walks p[:n] closer than _EPS_ABSORB to the boundary, one
-    _DISTANCE_BLOCK at a time.  The survivors' distances and positions move
-    to the front of d and p, in order.  Returns the survivor count and the
-    absorbed positions, in order, as a list of per-block arrays."""
-    hits = []
+    """Stop the walks p[:n] in the far field and absorb those closer than
+    _EPS_ABSORB to the boundary, one _DISTANCE_BLOCK at a time; a far walk
+    is not also absorbed.  The survivors' distances and positions move to
+    the front of d and p, in order.  Returns the survivor count and the
+    far-field and absorbed positions, in order, as two lists of per-block
+    arrays."""
+    fars, hits = [], []
     m = 0
     for start in range(0, n, _DISTANCE_BLOCK):
         block = p[start : min(start + _DISTANCE_BLOCK, n)]
         dist = region.distance_vector(block)
-        absorb = dist < _EPS_ABSORB
+        far = region.far_mask(block)
+        gone = far | (dist < _EPS_ABSORB)
         # dist may be a view of the block, so it moves before the positions
-        if np.any(absorb):
-            hits.append(block[absorb])
-            keep = ~absorb
-            end = m + block.size - hits[-1].size
+        if np.any(gone):
+            for out, pick in ((fars, far), (hits, gone & ~far)):
+                if np.any(pick):
+                    out.append(block[pick])
+            keep = ~gone
+            # a Python int: the count reaches Philox.advance, which refuses
+            # numpy integers
+            end = m + int(np.count_nonzero(keep))
             d[m:end] = dist[keep]
             p[m:end] = block[keep]
         else:
@@ -244,7 +254,7 @@ def _absorb_and_compact(region, p: np.ndarray, d: np.ndarray, n: int):
             if m != start:
                 p[m:end] = block
         m = end
-    return m, hits
+    return m, fars, hits
 
 
 def wos_harmonic_measures(
@@ -275,20 +285,23 @@ def wos_harmonic_measures(
     the count of earlier cohorts' walks that drew at step k.  A draw of n
     values begins with the draw of any m <= n, so one worker thread starts
     to fill one draw buffer for the n walks active at step k while the
-    calling thread applies step k - 1 from the other and absorbs, one
-    _DISTANCE_BLOCK at a time; the m survivors of step k use the first m.
-    The draw is cut into chunks of _DRAW_CHUNK angles that both threads
-    take from one cursor, each chunk entering the stream at its own
-    offset: once its absorb pass is done, the calling thread stops the
-    cursor at m and draws beside the worker.  Each step's far-field score
-    arrays, in cohort order, and hit counts are added in step order at the
-    end, as one ensemble would add them.
+    calling thread applies step k - 1 from the other, then stops far-field
+    walks and absorbs, one _DISTANCE_BLOCK at a time; the m survivors of
+    step k use the first m.  The draw is cut into chunks of _DRAW_CHUNK
+    angles that both threads take from one cursor, each chunk entering the
+    stream at its own offset: once its absorb pass is done, the calling
+    thread stops the cursor at m and draws beside the worker.  Each
+    target's hits are counted exactly and its far-field scores are summed
+    once, exactly rounded by math.fsum, so the estimates do not depend on
+    the cohort, block or walk order of the additions.
     """
     if samples < 1:
         raise ValueError("need at least one trajectory")
-    # per step k: the walks of earlier cohorts that drew, the far-field
-    # score arrays of each target, and the hit count of each target
-    drawn, far_step, hit_step = {}, {}, {}
+    # per step k, the walks of earlier cohorts that drew; per target, the
+    # far-field score arrays and the hit count
+    drawn = {}
+    far_arrays = [[] for _ in targets]
+    hit_counts = [0] * len(targets)
     n_far = 0
     n_capped = 0
     size = min(samples, _COHORT)
@@ -304,21 +317,16 @@ def wos_harmonic_measures(
             draw = _StepDraw(seed, 0, drawn.get(0, 0), draws[0, :, :n])
             steps = pool.submit(draw.run)
             while True:
-                far = region.far_mask(p[:n])
-                if np.any(far):
-                    far_pts = p[:n][far]
-                    tally = far_step.setdefault(iteration, [[] for _ in targets])
-                    for got, sc in zip(tally, region.far_scores(far_pts, targets)):
+                n, fars, hits = _absorb_and_compact(region, p, d, n)
+                if fars:
+                    far_pts = np.concatenate(fars)
+                    for got, sc in zip(far_arrays, region.far_scores(far_pts, targets)):
                         got.append(sc)
                     n_far += far_pts.size
-                    p[: n - far_pts.size] = p[:n][~far]
-                    n -= far_pts.size
-                n, hits = _absorb_and_compact(region, p, d, n)
                 if hits:
                     hit = np.concatenate(hits)
-                    tally = hit_step.setdefault(iteration, [0] * len(targets))
                     for i, pred in enumerate(targets):
-                        tally[i] += np.count_nonzero(pred(hit))
+                        hit_counts[i] += int(np.count_nonzero(pred(hit)))
                 drawn[iteration] = drawn.get(iteration, 0) + n
                 draw.finish(n)
                 steps.result()
@@ -339,20 +347,14 @@ def wos_harmonic_measures(
                 p[:n].real += cos_a
                 p[:n].imag += sin_a
 
-    scores = np.zeros(len(targets))
-    for k in sorted(drawn):
-        for i, sc in enumerate(far_step.get(k, ())):
-            scores[i] += float(np.concatenate(sc).sum())
-        for i, count in enumerate(hit_step.get(k, ())):
-            scores[i] += float(count)
     completed = samples - n_capped
     if completed == 0:
         raise RuntimeError(
             f"all {n_capped} walks hit the step cap of {_STEP_CAP} before absorption; no estimate"
         )
     out = []
-    for i in range(len(targets)):
-        prob = scores[i] / completed
+    for far, hit in zip(far_arrays, hit_counts):
+        prob = (math.fsum(itertools.chain.from_iterable(far)) + hit) / completed
         ci = 1.96 * math.sqrt(max(prob * (1.0 - prob), 0.0) / completed)
         out.append(
             HarmonicMeasureEstimate(

@@ -234,8 +234,12 @@ def extremal_pair_count(a_exp: float, b_exp: float, n: int) -> int:
 
     Level p of the first sequence pairs with the levels q <= n - 1 - p of
     the second, so the count is a dot product of the level sizes with the
-    reversed cumulative sizes, in int64 (0 for n < 3).  This equals
-    nu_count on the extremal sequences for any rate c > 0.
+    reversed cumulative sizes, in int64 (0 for n < 3).  In exact
+    arithmetic this is nu_count on the extremal sequences for any rate
+    c > 0.  In floats it is not: nu_count and its oracle also count the
+    pairs on p + q = n whose product e^{-cp} e^{-cq} rounds above e^{-cn}.
+    At (A, B) = (2, 1), rate 1 and 31 levels, nu_count reads 22 at n = 5
+    and 741 at n = 14 against the exact 14 and 650; at n = 9 both read 140.
     """
     return _pair_count(_level_sizes(a_exp, n - 1), _level_sizes(b_exp, n - 1), n)
 

@@ -1,16 +1,18 @@
 """Acceptance gate: one test per quantitative criterion, each printing a
 PASS/FAIL line with the measured quantities.
 
-Where a registry experiment checks the same claim, the criterion calls
-the same public function of `compoplab.experiments` with its own seeds
-and sample counts, and reads the verdict that function returns, so each
-rule and threshold is written once: the section decay law (2), the
+Where a registry experiment runs a criterion's exact configuration, the
+criterion reads that run's checks: the section decay law of
+`cusp-diagonal` (2), whose time budget applies to the run, and the
+Hilbert-Schmidt trends of `shapiro-taylor` (11).  Elsewhere a criterion
+calls the same public function of `compoplab.experiments` as the
+registry, with its own seeds and sample counts, and reads the verdict
+that function returns, so each rule and threshold is written once: the
 kernel-ratio regimes (3), the Kronecker gap, pair-count oracle and merge
 check (4, 5), the harnesses, tail slope and level constant (7, 8), the
-covering sample (9), the witness slope (10) and the Hilbert-Schmidt
-dichotomy (11).  Criterion 2 also prints where its sections fall under
-the float floor 1e-13 s_1; that is reported, not gated.  The integer
-pair-count loop (5) and the
+covering sample (9) and the witness slope (10).  Criterion 2 also prints
+where its sections fall under the float floor 1e-13 s_1; that is
+reported, not gated.  The integer pair-count loop (5) and the
 supermultiplicativity loop (4) are not registry rules; they live in
 `conftest.py`, shared with the unit tests of `tensor_merge` and
 `extremal_pair_count`.
@@ -37,7 +39,6 @@ from compoplab.experiments import (
     ExperimentConfig,
     covering_sample,
     harness_pair,
-    hs_dichotomy,
     kernel_slope,
     kernel_sweep,
     kronecker_gap,
@@ -45,7 +46,6 @@ from compoplab.experiments import (
     merge_check,
     pair_count_agrees,
     run,
-    section_decay,
     spiral_ensemble,
     tail_slope,
     witness_growth,
@@ -59,7 +59,6 @@ from compoplab.spectra import (
     upper_bound_plain,
 )
 from compoplab.symbols import (
-    Cusp,
     ExplicitSeries,
     Lens,
     shipped_symbols,
@@ -112,17 +111,14 @@ def test_criterion_01_lens_decay_law(kernel_laws):
     assert _report(1, "lens decay law, kernel lower bound, fit on [20,300]", ok, detail), detail
 
 
-def test_criterion_02_cusp_diagonal():
-    start = time.perf_counter()
-    base = build_matrix(Cusp(), 1024)
+def test_criterion_02_cusp_diagonal(tmp_path):
+    cusp = run(ExperimentConfig("cusp-diagonal", out=str(tmp_path)))
     dims = (2, 3)
-    laws = [
-        section_decay(singular_values(base * multiplicity_weights(1024, dim)), (20, 300), 0.45)
-        for dim in dims
-    ]
-    elapsed = time.perf_counter() - start
-    ok = all(law[-1] for law in laws) and elapsed <= 300.0
-    detail = "; ".join(f"N={dim}: {law[2]}" for dim, law in zip(dims, laws)) + f"; {elapsed:.0f}s"
+    laws = [_check(cusp, f"cusp-diagonal N={dim}: sqrt-exponential decay") for dim in dims]
+    wall = cusp.wall_time_s
+    ok = all(law["passed"] for law in laws) and wall <= 300.0
+    detail = "; ".join(f"N={dim}: {law['detail']}" for dim, law in zip(dims, laws))
+    detail += f"; {wall:.0f}s"
     assert _report(2, "cusp diagonal sqrt-exponential bound, N in {2,3}", ok, detail), detail
 
 
@@ -216,13 +212,17 @@ def test_criterion_10_unboundedness_witness():
     assert _report(10, "diagonal witness ratio grows like n^(1/4)", ok, detail), detail
 
 
-def test_criterion_11_shapiro_taylor(kernel_laws):
+def test_criterion_11_shapiro_taylor(kernel_laws, tmp_path):
     laws = [_check(kernel_laws, f"Shapiro-Taylor polynomial law, theta={t:g}") for t in (1.5, 2.0)]
-    ok = all(law["passed"] for law in laws)
+    shapiro = run(ExperimentConfig("shapiro-taylor", out=str(tmp_path)))
+    trends = [
+        _check(shapiro, f"theta={t}: Hilbert-Schmidt trend {trend}")
+        for t, trend in (("1.5", "diverging"), ("3", "converging"))
+    ]
+    ok = all(check["passed"] for check in laws + trends)
     details = [law["detail"] for law in laws]
-    reports, _, hs_oks = hs_dichotomy((1.5, 3.0), 2048)
-    ok = ok and all(hs_oks)
-    details.append(f"HS trends: theta=1.5 {reports[0].trend}, theta=3 {reports[1].trend}")
+    measured = [check["detail"].removeprefix("trend=") for check in trends]
+    details.append(f"HS trends: theta=1.5 {measured[0]}, theta=3 {measured[1]}")
     detail = "; ".join(details)
     assert _report(11, "Shapiro-Taylor polynomial law and HS dichotomy", ok, detail), detail
 

@@ -4,10 +4,12 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from compoplab.cli import build_parser, main
-from compoplab.experiments import REGISTRY, ExperimentConfig, kernel_law, run
+from compoplab.experiments import REGISTRY, ExperimentConfig, kernel_law, level_constant, run
+from compoplab.harmonic import GraphChannel, HarmonicMeasureEstimate
 from compoplab.operators import strip_lattice
 from compoplab.symbols import Lens
 
@@ -26,6 +28,22 @@ EXPECTED_IDS = {
 
 def test_registry_contents():
     assert set(REGISTRY) == EXPECTED_IDS
+
+
+def test_level_constant_marks_the_clause_its_fit_implies():
+    # c_hat is the largest p/shape, so the one-constant clause holds on any
+    # probabilities; the note says so on every run, and the 1e-3 ceiling
+    # still gates.  The shapes at h = 0.1, 0.05, 0.025 are all positive
+    def levels(probs):
+        return [HarmonicMeasureEstimate(p, 0.0, 10**6, 0) for p in probs]
+
+    hs = (0.1, 0.05, 0.025)
+    shape, _, c_hat, note, ok = level_constant(GraphChannel(), hs, levels([2e-4, 1e-5, 0.0]))
+    assert np.all(shape > 0) and c_hat == max(2e-4 / shape[0], 1e-5 / shape[1])
+    assert ok and note == " (one constant: implied by c_hat)"
+    *_, note, ok = level_constant(GraphChannel(), hs, levels([0.0] * 3))
+    assert ok and note == " (one constant: implied by c_hat) (vacuous)"
+    assert not level_constant(GraphChannel(), hs, levels([2e-3, 0.0, 0.0]))[-1]
 
 
 def test_tensor_lemma_run_writes_tables_and_manifest(tmp_path):

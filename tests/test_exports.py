@@ -81,13 +81,13 @@ def test_every_package_export_has_a_caller():
 # protocols): the function that reads each.
 SHARED_MEMBER_READS = {
     **{
-        (cls, name): "wos_harmonic_measures"
+        (cls, "far_scores"): "wos_harmonic_measures"
         for cls in ("DiskRegion", "HalfPlaneRegion", "GraphChannel")
-        for name in ("far_mask", "far_scores")
     },
     **{
-        (cls, "distance_vector"): "_absorb_and_compact"
+        (cls, name): "_absorb_and_compact"
         for cls in ("DiskRegion", "HalfPlaneRegion", "GraphChannel")
+        for name in ("far_mask", "distance_vector")
     },
     **{(cls, "strip_image"): "kernel_lower_bound" for cls in ("Symbol", "Lens", "ShapiroTaylor")},
     **{

@@ -410,12 +410,15 @@ def test_every_walk_capped_names_the_count(monkeypatch):
 def _reference_walks(region, targets, samples, seed, step_cap):
     """The engine before its angle draws moved to a worker thread: Philox
     angles drawn for the survivors only, a complex-exp step, and the
-    test-side copy of the channel distance.  Returns (scores, n_far, n_capped)."""
+    test-side copy of the channel distance.  Each target's score is its
+    integer hit count added to the math.fsum of all its far-field scores.
+    Returns (scores, n_far, n_capped)."""
     if isinstance(region, GraphChannel):
         distance = _certified_radius
     else:
         distance = region.distance_vector
-    scores = np.zeros(len(targets))
+    far_scores = [[] for _ in targets]
+    hits = [0] * len(targets)
     n_far = 0
     n_capped = 0
     iteration = 0
@@ -431,7 +434,7 @@ def _reference_walks(region, targets, samples, seed, step_cap):
         if np.any(far):
             far_pts = p[far]
             for i, sc in enumerate(region.far_scores(far_pts, targets)):
-                scores[i] += float(sc.sum())
+                far_scores[i].extend(sc.tolist())
             n_far += far_pts.size
             p = p[~far]
             if p.size == 0:
@@ -441,7 +444,7 @@ def _reference_walks(region, targets, samples, seed, step_cap):
         if np.any(absorb):
             hit = p[absorb]
             for i, pred in enumerate(targets):
-                scores[i] += float(np.count_nonzero(pred(hit)))
+                hits[i] += int(np.count_nonzero(pred(hit)))
             p = p[~absorb]
             d = d[~absorb]
         if p.size:
@@ -449,6 +452,7 @@ def _reference_walks(region, targets, samples, seed, step_cap):
             angles = rng.uniform(0.0, TWO_PI, p.size)
             p = p + d * np.exp(1j * angles)
         iteration += 1
+    scores = [math.fsum(far) + hit for far, hit in zip(far_scores, hits)]
     return scores, n_far, n_capped
 
 
@@ -681,6 +685,28 @@ def test_walk_state_is_fixed_buffers(channel):
     finally:
         tracemalloc.stop()
     assert peak / samples <= 64.0, peak / samples
+
+
+def test_walk_state_holds_when_walks_leave_through_the_far_field():
+    # a third of the walks from i leave the half-plane past |p| = 3.  They
+    # are stopped one distance block at a time, so the peak is the 56 bytes
+    # per walk of the buffers, 2.8 of the kept far-field scores and block
+    # temporaries: 64.4 bytes per walk measured in one cohort of 2^17.  A
+    # far mask and a copy of the survivors over the whole cohort would add
+    # about 11 (75.2 measured)
+    region = _variant(HalfPlaneRegion, cutoff=3.0)
+    targets = [lambda p: np.abs(p.real) < 1.0]
+    samples = 2**17
+    assert samples <= harmonic._COHORT
+    wos_harmonic_measures(region, targets, samples=1000, seed=5)
+    tracemalloc.start()
+    try:
+        est = wos_harmonic_measures(region, targets, samples=samples, seed=5)[0]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est.n_far_field > samples // 4
+    assert peak / samples <= 68.0, peak / samples
 
 
 def test_walk_state_does_not_grow_with_the_ensemble(monkeypatch):

@@ -163,6 +163,29 @@ def test_extremal_pair_count_matches_integer_loop():
             assert report.nu[n - 1] == count, (a_exp, b_exp, n)
 
 
+def test_nu_count_also_counts_level_pairs_whose_product_rounds_above():
+    # criterion 5's oracle sequences: (A, B) = (2, 1), rate 1, 31 levels.
+    # Every pair nu_count finds beyond the exact count lies on p + q = n,
+    # where the float product e^-p e^-q rounds above e^-n
+    s = extremal_spectrum(2.0, 1.0, 31)
+    t = extremal_spectrum(1.0, 1.0, 31)
+    level = np.exp(-np.arange(1.0, 32))
+    ties_at = {
+        5: (22, 14, [(2, 3), (3, 2)]),
+        9: (140, 140, []),
+        14: (741, 650, [(2, 12), (5, 9), (6, 8), (7, 7), (8, 6), (9, 5), (12, 2)]),
+    }
+    for n, (counted, exact, ties) in ties_at.items():
+        assert nu_count(s, t, 1.0, n) == nu_count_bruteforce(s, t, 1.0, n) == counted
+        assert extremal_pair_count(2.0, 1.0, n) == exact
+        tie = [(p, n - p) for p in range(1, n) if level[p - 1] * level[n - p - 1] > math.exp(-n)]
+        assert tie == ties
+        # the tie pairs, weighted by their level sizes, are the whole difference
+        sizes = [np.count_nonzero(s == level[p - 1]) * np.count_nonzero(t == level[q - 1])
+                 for p, q in tie]
+        assert counted - exact == sum(sizes)
+
+
 def test_nu_count_requires_normalized_heads():
     with pytest.raises(ValueError):
         nu_count([2.0], [1.0], 1.0, 1)
